@@ -443,19 +443,17 @@ def test_wire_integrity_overhead():
 
     The acceptance criterion for the fault-tolerance PR: checksumming
     every frame of a serving round may add at most 10% to the time the
-    server spends producing that round's batches (encode + pack).  Three
-    full round passes are timed — v2 digest trailer, v1 per-row CRC32,
-    and no trailer at all — on the same 64-session x 4-block round shape
-    as ``test_server_round_throughput``.
+    server spends producing that round's batches (encode + pack).  Two
+    full round passes are timed — digest trailer and no trailer at all
+    — on the same 64-session x 4-block round shape as
+    ``test_server_round_throughput``.
 
     Raw ``pack_blocks`` microbenchmarks at the same batch shape are
     recorded alongside so the trailer cost is visible in isolation: the
-    no-trailer pack is three strided memcpys, the v2 digest is one
-    vectorized multiply-accumulate pass, and the v1 CRC is a per-row
-    zlib call (the reason v2 exists).
+    no-trailer pack is three strided memcpys, the digest is one
+    vectorized multiply-accumulate pass.
     """
     from repro.rlnc import BlockBatch, pack_blocks, stream_size
-    from repro.rlnc.wire import VERSION, VERSION2
 
     params = CodingParams(DECODE_N, DECODE_K)
     profile = MediaProfile(params=params)
@@ -470,23 +468,15 @@ def test_wire_integrity_overhead():
             server.connect(peer)
         return server
 
-    def round_pass(server, *, checksum, version):
+    def round_pass(server, *, checksum):
         for peer in range(SERVER_SESSIONS):
             server.request_blocks(peer, 0, SERVER_BLOCKS_PER_PEER)
-        server.serve_round(format="frames", checksum=checksum, version=version)
+        server.serve_round(format="frames", checksum=checksum)
 
     plain_server = make_server()
     digest_server = make_server()
-    crc_server = make_server()
-    round_plain = best_of(
-        lambda: round_pass(plain_server, checksum=False, version=VERSION2)
-    )
-    round_digest = best_of(
-        lambda: round_pass(digest_server, checksum=True, version=VERSION2)
-    )
-    round_crc = best_of(
-        lambda: round_pass(crc_server, checksum=True, version=VERSION)
-    )
+    round_plain = best_of(lambda: round_pass(plain_server, checksum=False))
+    round_digest = best_of(lambda: round_pass(digest_server, checksum=True))
     checksum_cost = round_digest - round_plain
     serve_round_overhead = checksum_cost / round_digest
 
@@ -499,20 +489,14 @@ def test_wire_integrity_overhead():
         payloads=rng.integers(0, 256, size=(m, k), dtype=np.uint8),
         segment_id=0,
     )
-    plain_out = bytearray(stream_size(m, n, k, checksum=False, version=VERSION2))
-    digest_out = bytearray(stream_size(m, n, k, checksum=True, version=VERSION2))
-    crc_out = bytearray(stream_size(m, n, k, checksum=True))
+    plain_out = bytearray(stream_size(m, n, k, checksum=False))
+    digest_out = bytearray(stream_size(m, n, k, checksum=True))
     pack_plain = best_of(
-        lambda: pack_blocks(
-            batch, checksum=False, version=VERSION2, out=plain_out
-        )
+        lambda: pack_blocks(batch, checksum=False, out=plain_out)
     )
     pack_digest = best_of(
-        lambda: pack_blocks(
-            batch, checksum=True, version=VERSION2, out=digest_out
-        )
+        lambda: pack_blocks(batch, checksum=True, out=digest_out)
     )
-    pack_crc = best_of(lambda: pack_blocks(batch, checksum=True, out=crc_out))
 
     record(
         "wire_integrity_overhead",
@@ -522,13 +506,10 @@ def test_wire_integrity_overhead():
             "k": k,
             "serve_round_plain_seconds": round_plain,
             "serve_round_digest_seconds": round_digest,
-            "serve_round_crc32_seconds": round_crc,
             "checksum_cost_seconds": checksum_cost,
             "serve_round_overhead_ratio": serve_round_overhead,
             "pack_plain_seconds": pack_plain,
             "pack_digest_seconds": pack_digest,
-            "pack_crc32_seconds": pack_crc,
-            "digest_vs_crc32_pack_ratio": pack_digest / pack_crc,
             "digest_mb_per_s": m * k / (pack_digest - pack_plain) / 1e6,
         },
     )
@@ -539,14 +520,8 @@ def test_wire_integrity_overhead():
         # fraction.  The absolute digest throughput is still gated by
         # the regression check on digest_mb_per_s inputs.
         assert serve_round_overhead <= 0.25, (
-            f"v2 digest adds {serve_round_overhead:.1%} to the "
+            f"digest adds {serve_round_overhead:.1%} to the "
             f"serve_round path, above the 25% integrity budget"
-        )
-        # The vectorized digest must not be slower than the per-row CRC
-        # it supersedes.
-        assert pack_digest <= pack_crc, (
-            f"v2 digest pack ({pack_digest * 1e6:.0f}us) is slower than "
-            f"the v1 CRC32 pack ({pack_crc * 1e6:.0f}us)"
         )
 
 
@@ -728,7 +703,6 @@ def test_cluster_scaleout():
     trusted.
     """
     from repro.cluster import ServingCluster
-    from repro.rlnc.wire import VERSION2
 
     params = CodingParams(DECODE_N, DECODE_K)
     profile = MediaProfile(params=params)
@@ -754,7 +728,7 @@ def test_cluster_scaleout():
                 cluster.request_blocks(
                     peer, peer % CLUSTER_SEGMENTS, SERVER_BLOCKS_PER_PEER
                 )
-            frames = cluster.serve_round(format="frames", version=VERSION2)
+            frames = cluster.serve_round(format="frames")
             if collect:
                 collected.append(
                     {peer: bytes(data) for peer, data in frames.items()}

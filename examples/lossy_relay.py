@@ -1,7 +1,7 @@
 """End-to-end delivery over impaired hops through a recoding relay tree.
 
 Source --(loss)--> relays --(loss, corruption)--> leaves, with every
-block framed (CRC32) on each wire hop.  Demonstrates the robustness
+block framed (with a digest trailer) on each wire hop.  Demonstrates the robustness
 properties of Sec. 2 on the unified serving API: random linear coding
 shrugs off loss, the :class:`~repro.multicast.RelayNode` interior nodes
 refresh the stream by recoding without decoding, each hop's NACK loop

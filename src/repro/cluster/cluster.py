@@ -88,7 +88,7 @@ from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.obs.registry import get_registry, merge_snapshots
 from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.wire import MAX_WORKER_ID, VERSION, unpack_blocks
+from repro.rlnc.wire import MAX_WORKER_ID, VERSION2, check_version, unpack_blocks
 from repro.streaming.server import EagerRoundTicket, StreamingServer
 from repro.streaming.session import MediaProfile, PeerSession
 
@@ -209,7 +209,7 @@ class ServingCluster:
         spec: the GPU each worker runs on (one device per worker).
         profile: media/coding configuration, shared by all workers.
         num_workers: cluster size (1..127 — worker ids must fit the
-            v2 wire stamp, see :data:`~repro.rlnc.wire.MAX_WORKER_ID`).
+            wire stamp, see :data:`~repro.rlnc.wire.MAX_WORKER_ID`).
         scheme: encoding kernel for every worker.
         seed: seeds the placement ring and each worker's coefficient
             rng (worker ``w`` draws from ``default_rng([seed, w])``),
@@ -571,7 +571,7 @@ class ServingCluster:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
         """Drain one scheduling round on every live worker.
 
@@ -584,35 +584,26 @@ class ServingCluster:
         per-worker GPU delta (critical path); the serial price is the
         sum — both accumulate in :attr:`stats`.
 
+        Exactly :meth:`collect_round` of :meth:`begin_round`: the two
+        spellings share one round path.
+
         Args:
             format: ``"batches"`` returns ``peer_id -> [BlockBatch]``
                 merged across workers; ``"frames"`` returns the wire
                 representation — a worker's own slice when one worker
                 served the peer (zero-copy, valid until that worker's
-                next round), else the concatenated bytes.
-            checksum: frames format only — integrity trailers.
-            version: frames format only — wire version; ``version=2``
-                frames carry each worker's id stamp (see
+                next round), else the concatenated bytes.  Frames carry
+                each worker's id stamp (see
                 :func:`~repro.rlnc.wire.frame_worker_id`).
+            checksum: frames format only — digest trailers.
+            version: accepts only 2, the one frame version.
 
         Raises:
             ConfigurationError: on an unknown ``format``.
+            WireError: on any ``version`` but 2.
         """
-        if format not in ("batches", "frames"):
-            raise ConfigurationError(
-                f"unknown serve_round format {format!r}; "
-                "expected 'batches' or 'frames'"
-            )
-        if self.parallel:
-            merged, parallel, serial, blocks, served = self._collect_parallel(
-                self._dispatch_parallel(format, checksum, version)
-            )
-        else:
-            merged, parallel, serial, blocks, served = self._round_serial(
-                format, checksum, version
-            )
-        return self._merge_round(
-            format, merged, parallel, serial, blocks, served
+        return self.collect_round(
+            self.begin_round(format=format, checksum=checksum, version=version)
         )
 
     def begin_round(
@@ -620,7 +611,7 @@ class ServingCluster:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> object:
         """Pipelined serving entry: dispatch a round, barrier on it later.
 
@@ -628,10 +619,10 @@ class ServingCluster:
         worker's round command is fired and the method returns *without
         waiting for any reply*, so the per-worker encodes overlap with
         whatever the caller does next (publishing the previous round's
-        frames, feeding decoders); :meth:`collect_round` is the barrier
-        and produces output byte-identical to :meth:`serve_round`.  On
-        the serial substrate the round runs eagerly and the ticket just
-        parks the result, preserving one driver loop for both modes.
+        frames, feeding decoders); :meth:`collect_round` is the barrier.
+        On the serial substrate the round runs eagerly and the ticket
+        just parks the result, preserving one driver loop for both
+        modes.  Arguments are those of :meth:`serve_round`.
 
         At most one round may be in flight per worker (the
         shared-memory ring is bump-allocated per round), so a second
@@ -641,6 +632,7 @@ class ServingCluster:
         Returns:
             An opaque ticket for :meth:`collect_round`.
         """
+        check_version(version)
         if format not in ("batches", "frames"):
             raise ConfigurationError(
                 f"unknown serve_round format {format!r}; "
@@ -648,11 +640,9 @@ class ServingCluster:
             )
         if not self.parallel:
             return EagerRoundTicket(
-                self.serve_round(
-                    format=format, checksum=checksum, version=version
-                )
+                self._merge_round(format, *self._round_serial(format, checksum))
             )
-        return self._dispatch_parallel(format, checksum, version)
+        return self._dispatch_parallel(format, checksum)
 
     def collect_round(
         self, ticket: object
@@ -712,7 +702,7 @@ class ServingCluster:
         }
 
     def _round_serial(
-        self, format: str, checksum: bool, version: int
+        self, format: str, checksum: bool
     ) -> tuple[dict[int, list], float, float, int, bool]:
         """One round on the in-process substrate, worker after worker."""
         merged: dict[int, list] = {}
@@ -723,9 +713,7 @@ class ServingCluster:
         for worker_id in self.live_workers:
             worker = self._workers[worker_id]
             before = worker.stats.snapshot()
-            result = worker.serve_round(
-                format=format, checksum=checksum, version=version
-            )
+            result = worker.serve_round(format=format, checksum=checksum)
             delta = worker.stats.delta(before)
             parallel = max(parallel, delta.gpu_seconds)
             serial += delta.gpu_seconds
@@ -736,7 +724,7 @@ class ServingCluster:
         return merged, parallel, serial, blocks, served
 
     def _dispatch_parallel(
-        self, format: str, checksum: bool, version: int
+        self, format: str, checksum: bool
     ) -> "_ParallelRoundTicket":
         """Fire one round's commands at every live worker, no waiting.
 
@@ -744,10 +732,10 @@ class ServingCluster:
         reply is awaited, so the per-worker encodes run concurrently on
         real cores.  Frames land in each worker's shared-memory ring —
         the reply carries only ``(offset, length)`` spans — and
-        ``format="batches"`` results travel as sequence-neutral
-        checksum-free v1 frames re-hydrated parent-side, so batches
-        rounds leave the v2 wire sequences exactly where a serial
-        cluster would.
+        ``format="batches"`` results travel as sequence-neutral,
+        checksum-free frames re-hydrated parent-side, so batches
+        rounds leave the wire sequences exactly where a serial cluster
+        would.
 
         Under supervision the round is additionally self-healing: the
         supervisor ticks first (restarting workers whose backoff
@@ -772,11 +760,9 @@ class ServingCluster:
         for wid, proc in procs:
             try:
                 if frames:
-                    proc.start_round(checksum=checksum, version=version)
+                    proc.start_round(checksum=checksum)
                 else:
-                    proc.start_round(
-                        checksum=False, version=VERSION, stamp_sequence=False
-                    )
+                    proc.start_round(checksum=False, stamp_sequence=False)
             except WorkerCrashError as exc:
                 if supervisor is None:
                     raise
@@ -971,7 +957,7 @@ class ServingCluster:
         """The smallest worker id free for :meth:`add_worker`.
 
         Ids of decommissioned workers are reused (the id space is capped
-        at :data:`~repro.rlnc.wire.MAX_WORKER_ID` by the v2 wire stamp,
+        at :data:`~repro.rlnc.wire.MAX_WORKER_ID` by the wire stamp,
         so a long-lived autoscaled cluster must recycle), but an id
         still tracked by the supervisor as down is skipped — its restart
         path owns that slot until the breaker or a decommission frees

@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.faults import ChaosPlan, WorkerKillPlan
 from repro.gpu.spec import GTX280, DeviceSpec
 from repro.rlnc.block import CodingParams, Segment
-from repro.rlnc.wire import VERSION2
 from repro.streaming.client import ClientSession
 from repro.streaming.session import MediaProfile
 
@@ -87,7 +86,6 @@ def run_cluster_workload(
     kill_plan: WorkerKillPlan | None = None,
     chaos_plan: ChaosPlan | None = None,
     supervision: SupervisorConfig | None = None,
-    wire_version: int = VERSION2,
     max_rounds: int = 10_000,
     per_peer_round_quota: int | None = None,
     max_cluster_pending_blocks: int | None = None,
@@ -97,10 +95,10 @@ def run_cluster_workload(
     """Serve a seeded multi-session workload through a sharded cluster.
 
     Peer ``i`` fetches segment ``i % num_segments`` to full rank over
-    the wire path (v2 frames by default, so every block arrives stamped
-    with its worker's id).  Each round: incomplete sessions run their
-    NACK ``pre_round``, the cluster drains one coalesced round on every
-    live worker, sessions absorb their frame slices.  A
+    the wire path (every frame arrives stamped with its worker's id).
+    Each round: incomplete sessions run their NACK ``pre_round``, the
+    cluster drains one coalesced round on every live worker, sessions
+    absorb their frame slices.  A
     ``per_peer_round_quota`` stretches delivery over multiple rounds
     (each peer needs ``ceil(n / quota)``), which is what gives a
     mid-flight failure a window to land in.  When a
@@ -157,7 +155,7 @@ def run_cluster_workload(
         placement_before = cluster.placement()
 
         sessions = [
-            ClientSession(cluster, peer_id, wire_version=wire_version)
+            ClientSession(cluster, peer_id)
             for peer_id in range(num_peers)
         ]
         for peer_id, session in enumerate(sessions):
@@ -207,7 +205,7 @@ def run_cluster_workload(
                     session.pre_round()
                 except RetryExhaustedError:
                     undecoded.add(session.peer_id)
-            frames = cluster.serve_round(format="frames", version=wire_version)
+            frames = cluster.serve_round(format="frames")
             for session in live:
                 if session.peer_id in undecoded:
                     continue

@@ -51,7 +51,7 @@ from repro.faults import WorkerChaosSpec
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.rlnc.block import Segment
-from repro.rlnc.wire import VERSION, VERSION2, frame_size, stream_size
+from repro.rlnc.wire import frame_size, stream_size
 from repro.streaming.server import StreamingServer
 from repro.streaming.session import MediaProfile
 
@@ -219,13 +219,10 @@ class _WorkerRuntime:
     def handle(self, tag: str, args: tuple):
         server = self.server
         if tag == "round":
-            checksum, version, stamp_sequence = args
+            checksum, stamp_sequence = args
             before = server.stats.snapshot()
             spans = server.serve_round_into(
-                self._alloc,
-                checksum=checksum,
-                version=version,
-                stamp_sequence=stamp_sequence,
+                self._alloc, checksum=checksum, stamp_sequence=stamp_sequence
             )
             return spans, server.stats.delta(before).as_dict()
         if tag == "request":
@@ -393,7 +390,6 @@ class WorkerProcess:
                     params.num_blocks,
                     params.block_size,
                     checksum=True,
-                    version=VERSION2,
                 ),
             )
         ring = BlockRing.create(
@@ -620,7 +616,6 @@ class WorkerProcess:
         self,
         *,
         checksum: bool = True,
-        version: int = VERSION,
         stamp_sequence: bool = True,
     ) -> None:
         """Fire one serving round without waiting for it to finish."""
@@ -631,16 +626,11 @@ class WorkerProcess:
         params = self.profile.params
         bound = (
             self.pending_blocks
-            * frame_size(
-                params.num_blocks,
-                params.block_size,
-                checksum=checksum,
-                version=version,
-            )
+            * frame_size(params.num_blocks, params.block_size, checksum=checksum)
             + _ARENA_SLACK
         )
         self._ensure_arena(bound)
-        self._send("round", checksum, version, stamp_sequence)
+        self._send("round", checksum, stamp_sequence)
         self._inflight = True
 
     def finish_round(

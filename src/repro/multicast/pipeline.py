@@ -17,7 +17,7 @@ segment through the NACK-driven :class:`~repro.streaming.client
 
 Both drivers place each peer's full ``n``-block demand up front, so the
 endpoint's queue evolution — grant carving by quota and carryover, rng
-draws, v2 sequence stamps — is *identical* in both modes and the wire
+draws, frame sequence stamps — is *identical* in both modes and the wire
 byte streams match exactly (:meth:`PipelineRunReport.byte_exact`).
 NACK top-ups (dependent draws, injected loss) are issued only at
 fully-drained barriers, where the two modes' endpoint states coincide;
@@ -47,7 +47,7 @@ from repro.kernels.cost_model import (
 from repro.multicast.timeline import OverlapReport, TimelineModel
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
-from repro.rlnc.wire import VERSION2, frame_sequence, frame_size, frame_worker_id
+from repro.rlnc.wire import frame_sequence, frame_size, frame_worker_id
 from repro.streaming.client import ClientSession
 from repro.streaming.nic import GIGABIT_ETHERNET, NicModel
 
@@ -57,7 +57,7 @@ class RoundTrace:
     """One served round as seen on the wire.
 
     ``sequence_spans`` maps ``(peer_id, worker_id)`` to the round's
-    ``(first, past_last)`` v2 sequence span for that stream — the
+    ``(first, past_last)`` sequence span for that stream — the
     in-flight round tagging: rounds occupy contiguous, strictly
     consecutive spans of each per-session sequence stream, so a receiver
     can attribute every frame to its round with no new wire fields.
@@ -141,7 +141,6 @@ def _drive(
     scheme: EncodeScheme = EncodeScheme.TABLE_5,
     decode_spec: DeviceSpec | None = None,
     checksum: bool = True,
-    version: int = VERSION2,
     fault_plans: dict[int, FaultPlan] | None = None,
     max_rounds: int = 10_000,
     timeline: bool = True,
@@ -162,7 +161,7 @@ def _drive(
             fallback pricing for endpoints without a GPU ledger).
         decode_spec: device whose decode model prices the decode stage
             (defaults to the endpoint's ``spec``, else the GTX 280).
-        checksum / version: wire settings for every session and round.
+        checksum: whether every session's frames carry digest trailers.
         fault_plans: optional per-peer deterministic fault injectors.
         timeline: set False to skip the overlap model entirely.
     """
@@ -178,7 +177,6 @@ def _drive(
             endpoint,
             peer_id,
             fault_plan=fault_plans.get(peer_id),
-            wire_version=version,
             checksum=checksum,
         )
         for peer_id in peers
@@ -193,7 +191,7 @@ def _drive(
     decode_bw = decode_single_segment_bandwidth(
         decode_spec or spec, num_blocks=n, block_size=k
     )
-    frame_bytes = frame_size(n, k, checksum=checksum, version=version)
+    frame_bytes = frame_size(n, k, checksum=checksum)
     if model is not None:
         _predict_schedule(
             model,
@@ -219,7 +217,6 @@ def _drive(
         scheme=scheme,
         params=params,
         checksum=checksum,
-        version=version,
     )
     loop = _pipelined_loop if pipelined else _lockstep_loop
     with trace("multicast_drive", mode="pipelined" if pipelined else "lockstep"):
@@ -257,7 +254,6 @@ class _RunState:
         scheme,
         params,
         checksum,
-        version,
     ) -> None:
         self.endpoint = endpoint
         self.sessions = sessions
@@ -269,7 +265,6 @@ class _RunState:
         self.scheme = scheme
         self.params = params
         self.checksum = checksum
-        self.version = version
         self.rounds = 0
         self.frames_delivered = 0
         self.bytes_delivered = 0
@@ -309,8 +304,7 @@ class _RunState:
                     f"number of frames ({len(data)} % {self.frame_bytes})"
                 )
             total_frames += count
-            if self.version == VERSION2:
-                self._tag_round(index, peer_id, data, count, spans)
+            self._tag_round(index, peer_id, data, count, spans)
         self.frames_delivered += total_frames
         self.bytes_delivered += total_bytes
         self.traces.append(
@@ -384,7 +378,7 @@ def _lockstep_loop(state: _RunState, max_rounds: int) -> None:
         if state.endpoint.pending_blocks > 0:
             before = state.gpu_seconds()
             served = state.endpoint.serve_round(
-                format="frames", checksum=state.checksum, version=state.version
+                format="frames", checksum=state.checksum
             )
             after = state.gpu_seconds()
             frames = {pid: bytes(view) for pid, view in served.items()}
@@ -427,7 +421,7 @@ def _pipelined_loop(state: _RunState, max_rounds: int) -> None:
         if ticket is None and state.endpoint.pending_blocks > 0:
             gpu_before = state.gpu_seconds()
             ticket = state.endpoint.begin_round(
-                format="frames", checksum=state.checksum, version=state.version
+                format="frames", checksum=state.checksum
             )
         if pending is not None:
             # The overlap window: round r-1 decodes while round r encodes.

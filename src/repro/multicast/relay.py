@@ -28,7 +28,7 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
-from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
+from repro.rlnc.wire import VERSION2, check_version, pack_blocks, stream_size
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
 from repro.streaming.server import EagerRoundTicket
 from repro.streaming.session import MediaProfile, PeerSession
@@ -89,8 +89,8 @@ class RelayNode:
         name: label used in stats and error messages.
         per_peer_round_quota: most blocks one downstream peer may be
             granted per serving round (``None`` = unbounded).
-        worker_id: optional cluster-style stamp carried on version-2
-            frames this relay packs.
+        worker_id: optional cluster-style stamp carried on the frames
+            this relay packs.
     """
 
     def __init__(
@@ -154,8 +154,8 @@ class RelayNode:
         """Buffer upstream coded blocks for recombination; returns count.
 
         The relay's receive path: whatever an uplink unpacked from its
-        parent's frames lands here (no decode, no rank bookkeeping — the
-        random-mix guarantee makes every buffered block useful).
+        parent's frames lands here (no decode; dependent blocks are
+        kept too, and :meth:`rank` tells the uplink what they span).
         """
         recoder = self._recoder_for(batch.segment_id)
         count = len(batch)
@@ -169,6 +169,11 @@ class RelayNode:
         """Coded blocks buffered for a segment (0 when unknown)."""
         recoder = self._recoders.get(segment_id)
         return 0 if recoder is None else recoder.buffered
+
+    def rank(self, segment_id: int) -> int:
+        """Rank of the blocks buffered for a segment (0 when unknown)."""
+        recoder = self._recoders.get(segment_id)
+        return 0 if recoder is None else recoder.rank
 
     def _recoder_for(self, segment_id: int) -> Recoder:
         recoder = self._recoders.get(segment_id)
@@ -259,7 +264,7 @@ class RelayNode:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
         """Drain one scheduling round of the downstream request queue.
 
@@ -275,14 +280,20 @@ class RelayNode:
                 double-buffered wire storage and returns ``peer_id ->
                 memoryview`` (valid for two rounds — one pipelined round
                 may be in flight while the next packs).
-            checksum: frames format only — integrity trailers.
-            version: frames format only — wire version (``version=2``
-                stamps per-session sequences and the worker id).
+            checksum: frames format only — digest trailers.  Frames
+                always carry per-session sequences and the relay's
+                worker stamp.
+            version: accepts only 2, the one frame version.
+
+        Raises:
+            ConfigurationError: on an unknown ``format``.
+            WireError: on any ``version`` but 2.
         """
+        check_version(version)
         if format == "batches":
             return self._round_batches()
         if format == "frames":
-            return self._round_frames(checksum=checksum, version=version)
+            return self._round_frames(checksum=checksum)
         raise ConfigurationError(
             f"unknown serve_round format {format!r}; "
             "expected 'batches' or 'frames'"
@@ -293,7 +304,7 @@ class RelayNode:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> object:
         """Pipelined entry: run this round now, collect its result later.
 
@@ -353,9 +364,7 @@ class RelayNode:
             self._m_rounds.inc()
         return fanout
 
-    def _round_frames(
-        self, *, checksum: bool, version: int
-    ) -> dict[int, memoryview]:
+    def _round_frames(self, *, checksum: bool) -> dict[int, memoryview]:
         fanout = self._round_batches()
         if not fanout:
             return {}
@@ -365,7 +374,6 @@ class RelayNode:
                 batch.num_blocks,
                 batch.block_size,
                 checksum=checksum,
-                version=version,
             )
             for batches in fanout.values()
             for batch in batches
@@ -377,24 +385,20 @@ class RelayNode:
         view = memoryview(self._wire_buffers[slot])
         offset = 0
         frames: dict[int, memoryview] = {}
-        stamp = self.worker_id if version == VERSION2 else None
         with trace("relay_wire_pack", relay=self.name):
             for peer_id, batches in fanout.items():
                 session = self._sessions[peer_id]
                 start = offset
                 for batch in batches:
-                    sequence = session.tx_sequence if version == VERSION2 else 0
                     packed = pack_blocks(
                         batch,
                         checksum=checksum,
                         out=view,
                         offset=offset,
-                        version=version,
-                        first_sequence=sequence,
-                        worker_id=stamp,
+                        first_sequence=session.tx_sequence,
+                        worker_id=self.worker_id,
                     )
-                    if version == VERSION2:
-                        session.tx_sequence += len(batch)
+                    session.tx_sequence += len(batch)
                     offset += len(packed)
                 frames[peer_id] = view[start:offset]
                 self.stats.bytes_served += offset - start

@@ -34,7 +34,7 @@ from repro.multicast.relay import RelayNode, RelayStats
 from repro.obs.trace import trace
 from repro.p2p.topology import distribution_tree, multicast_capacity
 from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.wire import VERSION2, WireStats, frame_size, unpack_frame
+from repro.rlnc.wire import WireStats, frame_size, unpack_frame
 from repro.streaming.client import ClientSession
 from repro.streaming.session import MediaProfile
 
@@ -42,10 +42,11 @@ from repro.streaming.session import MediaProfile
 class RelayUplink:
     """The client half of a relay: pulls coded blocks from its parent.
 
-    Keeps the relay's buffer topped up to ``num_blocks`` coded blocks of
-    the segment in flight — enough held randomness for its recoded
-    emissions to span the full segment — re-requesting (NACK) whatever
-    injected loss or corruption swallowed.  Frames unpack *leniently*:
+    Keeps the relay's buffer topped up to full rank for the segment in
+    flight — enough held randomness for its recoded emissions to span
+    the full segment — re-requesting (NACK) whatever injected loss or
+    corruption swallowed, and whatever rank a dependent block failed to
+    add.  Frames unpack *leniently*:
     damaged ones are dropped and counted in :attr:`wire`, never
     ingested.
 
@@ -54,8 +55,8 @@ class RelayUplink:
         relay: the relay being fed.
         peer_id: this uplink's identity on the parent.
         fault_plan: optional deterministic fault injector on this hop.
-        checksum / wire_version: wire settings (must match what the
-            parent's serve rounds emit).
+        checksum: whether frames carry digest trailers (must match
+            what the parent's serve rounds emit).
     """
 
     def __init__(
@@ -66,28 +67,23 @@ class RelayUplink:
         *,
         fault_plan: FaultPlan | None = None,
         checksum: bool = True,
-        wire_version: int = VERSION2,
     ) -> None:
         self.parent = parent
         self.relay = relay
         self.peer_id = peer_id
         self.fault_plan = fault_plan
         self.checksum = checksum
-        self.wire_version = wire_version
         self.wire = WireStats()
         self._view = parent.connect(peer_id)
         params = relay.profile.params
         self._target = params.num_blocks
         self._frame_bytes = frame_size(
-            params.num_blocks,
-            params.block_size,
-            checksum=checksum,
-            version=wire_version,
+            params.num_blocks, params.block_size, checksum=checksum
         )
 
     def pre_round(self, segment_id: int) -> None:
-        """Ask the parent for whatever the relay's buffer still misses."""
-        missing = self._target - self.relay.held(segment_id)
+        """Ask the parent for the rank the relay's buffer still misses."""
+        missing = self._target - self.relay.rank(segment_id)
         if missing <= 0:
             return
         pending = self._view.blocks_pending
@@ -172,7 +168,7 @@ class MulticastTree:
             the source -> relay hops.
         leaf_fault_plans: optional fault injectors keyed by
             ``(relay_index, leaf_index)`` on the relay -> leaf hops.
-        checksum / wire_version: wire settings for every hop.
+        checksum: whether every hop's frames carry digest trailers.
     """
 
     def __init__(
@@ -187,7 +183,6 @@ class MulticastTree:
         uplink_fault_plans: dict[int, FaultPlan] | None = None,
         leaf_fault_plans: dict[tuple[int, int], FaultPlan] | None = None,
         checksum: bool = True,
-        wire_version: int = VERSION2,
     ) -> None:
         if relays < 1 or leaves_per_relay < 1:
             raise ConfigurationError(
@@ -197,7 +192,6 @@ class MulticastTree:
         self.profile = profile
         self.seed = seed
         self.checksum = checksum
-        self.wire_version = wire_version
         self.graph = distribution_tree(relays, leaves_per_relay)
         uplink_fault_plans = uplink_fault_plans or {}
         leaf_fault_plans = leaf_fault_plans or {}
@@ -220,7 +214,6 @@ class MulticastTree:
                     i,
                     fault_plan=uplink_fault_plans.get(i),
                     checksum=checksum,
-                    wire_version=wire_version,
                 )
             )
             self.cohorts.append(
@@ -229,7 +222,6 @@ class MulticastTree:
                         relay,
                         j,
                         fault_plan=leaf_fault_plans.get((i, j)),
-                        wire_version=wire_version,
                         checksum=checksum,
                     )
                     for j in range(leaves_per_relay)
@@ -272,9 +264,7 @@ class MulticastTree:
                     uplink.pre_round(segment_id)
                 if self.root.pending_blocks > 0:
                     frames = self.root.serve_round(
-                        format="frames",
-                        checksum=self.checksum,
-                        version=self.wire_version,
+                        format="frames", checksum=self.checksum
                     )
                     for uplink in self.uplinks:
                         uplink.intake(segment_id, frames.get(uplink.peer_id))
@@ -285,11 +275,7 @@ class MulticastTree:
                     for session in active:
                         session.pre_round()
                     served = (
-                        relay.serve_round(
-                            format="frames",
-                            checksum=self.checksum,
-                            version=self.wire_version,
-                        )
+                        relay.serve_round(format="frames", checksum=self.checksum)
                         if relay.pending_requests
                         else {}
                     )

@@ -31,7 +31,6 @@ from repro.rlnc.stats import (
 )
 from repro.rlnc.wire import (
     MAX_WORKER_ID,
-    VERSION,
     VERSION2,
     WireStats,
     decode_frame,
@@ -66,7 +65,6 @@ __all__ = [
     "ReorderingChannel",
     "Segment",
     "TwoStageDecoder",
-    "VERSION",
     "VERSION2",
     "WireStats",
     "blocks_needed_over_lossy_channel",

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.gf256.engine import ENGINE
+from repro.gf256.matrix import rank
 from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams
@@ -43,11 +44,28 @@ class Recoder:
         )
         self._payloads = np.empty((capacity, params.block_size), dtype=np.uint8)
         self._count = 0
+        self._rank = 0
+        self._rank_rows = 0
 
     @property
     def buffered(self) -> int:
         """Number of coded blocks held."""
         return self._count
+
+    @property
+    def rank(self) -> int:
+        """Rank of the held coefficient rows — what recoding can span.
+
+        Held blocks can be linearly dependent (a duplicate, or an
+        unlucky draw), so this may trail :attr:`buffered`.  Computed
+        only when rows arrived since the last call and full rank is not
+        yet reached.
+        """
+        if self._rank_rows != self._count:
+            if self._rank < self._params.num_blocks:
+                self._rank = rank(self._coefficients[: self._count])
+            self._rank_rows = self._count
+        return self._rank
 
     def _reserve(self, rows: int) -> None:
         """Grow the buffer geometrically to hold ``rows`` more blocks."""

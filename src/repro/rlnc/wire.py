@@ -1,28 +1,8 @@
-"""Wire format for coded blocks: framing, versioning and integrity.
+"""Wire format for coded blocks: framing and integrity.
 
 A practical deployment needs to ship coded blocks between machines.
-This module defines two compact, self-describing frame versions.
-
-Version 1 (the PR 2 format, still the default — byte-identical output):
-
-```
-offset  size  field
-0       4     magic "RLNC"
-4       1     version (1)
-5       1     flags (bit 0: checksum present)
-6       4     segment_id        (big endian)
-10      4     num_blocks n      (big endian)
-14      4     block_size k      (big endian)
-18      n     coefficient vector
-18+n    k     payload
-[18+n+k 4     CRC32 over bytes 0..18+n+k)   when flags bit 0 is set]
-```
-
-Version 2 (the fault-tolerant transport format) adds a per-frame
-sequence number and replaces the CRC32 with an 8-byte multiply-
-accumulate digest (see :func:`digest64`) that vectorizes across a whole
-batch — the serving pipeline checksums hundreds of frames with three
-numpy passes instead of one C call per frame:
+This module defines the one compact, self-describing frame every writer
+emits and every reader accepts:
 
 ```
 offset  size  field
@@ -39,18 +19,19 @@ offset  size  field
 [22+n+k 8     digest64 trailer (big endian)  when flags bit 0 is set]
 ```
 
-Version-2 frames may additionally be *worker-stamped*: a sharded
-serving cluster records which worker produced each frame in the upper
-seven flag bits (``worker_id + 1``, so zero keeps meaning "unstamped"
-and single-node writers are byte-identical to before).  Readers that
-predate the stamp only test bit 0, so stamped frames parse everywhere;
-:func:`frame_worker_id` recovers the stamp, and the digest covers the
-flags byte, so a corrupted stamp is detected like any other header
-damage.
+The trailer is an 8-byte multiply-accumulate digest (see
+:func:`digest64`) that vectorizes across a whole batch — the serving
+pipeline checksums hundreds of frames with three numpy passes instead
+of one call per frame.  The version byte is always 2; a frame carrying
+any other version (the retired version 1 included) is rejected as
+malformed.
 
-Readers accept both versions; writers emit version 1 unless asked for
-``version=2``, so PR 2 peers parse this writer's default output and
-vice versa.
+Frames may additionally be *worker-stamped*: a sharded serving cluster
+records which worker produced each frame in the upper seven flag bits
+(``worker_id + 1``, so zero keeps meaning "unstamped" and single-node
+writers leave them clear).  :func:`frame_worker_id` recovers the stamp,
+and the digest covers the flags byte, so a corrupted stamp is detected
+like any other header damage.
 
 Integrity failures surface through two *unpack modes*: strict mode
 (default) raises :class:`~repro.errors.IntegrityError` on a checksum
@@ -70,18 +51,15 @@ into a caller-supplied buffer through a :class:`memoryview` (no
 intermediate per-field ``bytes()`` copies), and :func:`pack_blocks` /
 :func:`unpack_blocks` move whole :class:`~repro.rlnc.block.BlockBatch`
 matrices through a single contiguous buffer — the batch path writes all
-headers, coefficient rows and payload rows with three strided numpy
-assignments, and the intake path hands back coefficient/payload
-matrices that are zero-copy views into the received buffer.  The
-version-1 batch layout is byte-identical to concatenated
-:func:`encode_frame` output, so old readers can parse new writers'
-individual records.
+headers, sequences, coefficient rows and payload rows with strided
+numpy assignments, and the intake path hands back coefficient/payload
+matrices that are zero-copy views into the received buffer.  A batch
+is byte-identical to :func:`encode_stream` over its rows.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,20 +69,18 @@ from repro.obs.registry import Counter, get_registry
 from repro.rlnc.block import BlockBatch, CodedBlock
 
 MAGIC = b"RLNC"
-VERSION = 1
+#: The frame version byte — the only version written or read.
 VERSION2 = 2
 FLAG_CHECKSUM = 0x01
-#: Largest worker id a version-2 frame can carry (7 flag bits hold
+#: Largest worker id a frame can carry (7 flag bits hold
 #: ``worker_id + 1``, and 0 means "unstamped").
 MAX_WORKER_ID = 126
 _WORKER_SHIFT = 1
-_HEADER = struct.Struct(">4sBBIII")
-_HEADER2 = struct.Struct(">4sBBIIII")
-_CRC = struct.Struct(">I")
+_HEADER = struct.Struct(">4sBBIIII")
 _DIGEST = struct.Struct(">Q")
-#: v2 header bytes are zero-padded to this width for the digest.
-_HEADER2_PAD = 24
-_SEQ_OFFSET = 18  # big-endian u32 sequence inside the v2 header
+#: Header bytes are zero-padded to this width for the digest.
+_HEADER_PAD = 24
+_SEQ_OFFSET = 18  # big-endian u32 sequence inside the header
 
 #: Fixed seed for the digest weight stream ("RLNC" as an integer) —
 #: part of the wire format, never change it.
@@ -195,8 +171,8 @@ def _digest64_rows(
 def digest64(
     header: bytes, coefficients: np.ndarray, payload: np.ndarray
 ) -> int:
-    """The version-2 integrity digest of one frame (see module docs)."""
-    head = np.zeros(_HEADER2_PAD, dtype=np.uint8)
+    """The integrity digest of one frame (see module docs)."""
+    head = np.zeros(_HEADER_PAD, dtype=np.uint8)
     head[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     return int(
         _digest64_rows(
@@ -295,22 +271,25 @@ class WireStats:
         _wire_counter("wire_malformed_frames").inc(count)
 
 
-def _header_struct(version: int) -> struct.Struct:
-    if version == VERSION:
-        return _HEADER
-    if version == VERSION2:
-        return _HEADER2
-    raise WireError(f"unsupported frame version {version}")
+def check_version(version: int) -> None:
+    """Refuse any frame version but :data:`VERSION2`.
 
+    The serving round entry points still accept a ``version`` keyword
+    for callers that spell it out; this is its only check.
 
-def _worker_flag_bits(version: int, worker_id: int | None) -> int:
-    """Flag bits carrying an optional version-2 worker stamp."""
-    if worker_id is None:
-        return 0
+    Raises:
+        WireError: ``version`` is not 2.
+    """
     if version != VERSION2:
         raise WireError(
-            f"worker-id stamping needs version-2 frames, got version {version}"
+            f"unsupported frame version {version}; only {VERSION2} is written"
         )
+
+
+def _worker_flag_bits(worker_id: int | None) -> int:
+    """Flag bits carrying an optional worker stamp."""
+    if worker_id is None:
+        return 0
     if not 0 <= worker_id <= MAX_WORKER_ID:
         raise WireError(
             f"worker_id must be in [0, {MAX_WORKER_ID}], got {worker_id}"
@@ -321,60 +300,44 @@ def _worker_flag_bits(version: int, worker_id: int | None) -> int:
 def frame_worker_id(data, offset: int = 0) -> int | None:
     """The worker id stamped on the frame at ``offset``, or ``None``.
 
-    Version-1 frames and unstamped version-2 frames return ``None``.
+    Unstamped frames return ``None``.
 
     Raises:
         WireError: if the bytes at ``offset`` are not a parseable
             frame header.
     """
-    view = memoryview(data)
-    _, flags, _, _, _, _, _ = _parse_header(view, offset)
+    flags, _, _, _, _ = _parse_header(memoryview(data), offset)
     stamp = (flags >> _WORKER_SHIFT) & 0x7F
     return stamp - 1 if stamp else None
 
 
-def frame_sequence(data, offset: int = 0) -> int | None:
+def frame_sequence(data, offset: int = 0) -> int:
     """The per-session sequence number of the frame at ``offset``.
 
-    Version-1 frames carry no sequence and return ``None``.  This is the
-    in-flight *round tagging* primitive for pipelined serving: a server
-    round stamps consecutive sequences per session, so a round's frames
-    occupy one contiguous sequence span — the pipelined drivers read the
-    span boundaries here (no new frame version, no extra header bytes)
-    and verify rounds arrive in order and without overlap.
+    This is the in-flight *round tagging* primitive for pipelined
+    serving: a server round stamps consecutive sequences per session, so
+    a round's frames occupy one contiguous sequence span — the pipelined
+    drivers read the span boundaries here (no extra header bytes) and
+    verify rounds arrive in order and without overlap.
 
     Raises:
         WireError: if the bytes at ``offset`` are not a parseable
             frame header.
     """
-    view = memoryview(data)
-    version, _, _, _, _, sequence, _ = _parse_header(view, offset)
-    return None if version == VERSION else sequence
+    return _parse_header(memoryview(data), offset)[4]
 
 
-def frame_size(
-    num_blocks: int, block_size: int, *, checksum: bool = True, version: int = VERSION
-) -> int:
+def frame_size(num_blocks: int, block_size: int, *, checksum: bool = True) -> int:
     """Wire bytes for one framed block of this geometry."""
-    header = _header_struct(version).size
-    trailer = 0
-    if checksum:
-        trailer = _CRC.size if version == VERSION else _DIGEST.size
-    return header + num_blocks + block_size + trailer
+    trailer = _DIGEST.size if checksum else 0
+    return _HEADER.size + num_blocks + block_size + trailer
 
 
 def stream_size(
-    num_frames: int,
-    num_blocks: int,
-    block_size: int,
-    *,
-    checksum: bool = True,
-    version: int = VERSION,
+    num_frames: int, num_blocks: int, block_size: int, *, checksum: bool = True
 ) -> int:
     """Wire bytes for ``num_frames`` homogeneous frames (for preallocation)."""
-    return num_frames * frame_size(
-        num_blocks, block_size, checksum=checksum, version=version
-    )
+    return num_frames * frame_size(num_blocks, block_size, checksum=checksum)
 
 
 def pack_frame_into(
@@ -383,7 +346,6 @@ def pack_frame_into(
     offset: int = 0,
     *,
     checksum: bool = True,
-    version: int = VERSION,
     sequence: int = 0,
     worker_id: int | None = None,
 ) -> int:
@@ -392,49 +354,36 @@ def pack_frame_into(
     ``buffer`` is any writable buffer (``bytearray``, ``memoryview``,
     ``np.ndarray``).  The coefficient and payload arrays are copied into
     place through memoryview slice assignment — no intermediate
-    ``bytes()`` objects are materialized.  ``sequence`` and the optional
-    ``worker_id`` stamp are carried only by version-2 frames (the
-    sequence wraps mod 2^32).
+    ``bytes()`` objects are materialized.  ``sequence`` wraps mod 2^32;
+    ``worker_id`` is the optional cluster stamp.
     """
     n, k = block.num_blocks, block.block_size
-    header = _header_struct(version)
-    size = frame_size(n, k, checksum=checksum, version=version)
+    size = frame_size(n, k, checksum=checksum)
     view = memoryview(buffer)
     if offset + size > len(view):
         raise WireError(
             f"buffer too small: need {offset + size} bytes, have {len(view)}"
         )
-    flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(
-        version, worker_id
+    flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(worker_id)
+    _HEADER.pack_into(
+        view,
+        offset,
+        MAGIC,
+        VERSION2,
+        flags,
+        block.segment_id,
+        n,
+        k,
+        sequence & 0xFFFFFFFF,
     )
-    if version == VERSION:
-        header.pack_into(view, offset, MAGIC, version, flags, block.segment_id, n, k)
-    else:
-        header.pack_into(
-            view,
-            offset,
-            MAGIC,
-            version,
-            flags,
-            block.segment_id,
-            n,
-            k,
-            sequence & 0xFFFFFFFF,
-        )
-    body_end = offset + header.size + n + k
-    view[offset + header.size : offset + header.size + n] = block.coefficients
-    view[offset + header.size + n : body_end] = block.payload
+    body = offset + _HEADER.size
+    view[body : body + n] = block.coefficients
+    view[body + n : body + n + k] = block.payload
     if checksum:
-        if version == VERSION:
-            crc = zlib.crc32(view[offset:body_end]) & 0xFFFFFFFF
-            _CRC.pack_into(view, body_end, crc)
-        else:
-            digest = digest64(
-                bytes(view[offset : offset + header.size]),
-                block.coefficients,
-                block.payload,
-            )
-            _DIGEST.pack_into(view, body_end, digest)
+        digest = digest64(
+            bytes(view[offset:body]), block.coefficients, block.payload
+        )
+        _DIGEST.pack_into(view, body + n + k, digest)
     _wire_counter("wire_frames_packed").inc()
     _wire_counter("wire_bytes_packed").inc(size)
     return size
@@ -446,31 +395,29 @@ def pack_blocks(
     checksum: bool = True,
     out=None,
     offset: int = 0,
-    version: int = VERSION,
     first_sequence: int = 0,
     worker_id: int | None = None,
 ) -> memoryview:
     """Serialize a whole batch into one contiguous buffer; return its view.
 
-    All headers, coefficient rows and payload rows are written with three
-    strided numpy assignments into the (optionally caller-preallocated)
-    buffer.  Version-1 integrity is one CRC32 C call per frame;
-    version-2 computes every frame's :func:`digest64` in one vectorized
-    pass, stamps consecutive sequence numbers starting at
-    ``first_sequence``, and carries the optional ``worker_id`` stamp in
-    every frame's flags.  When ``out`` is omitted a fresh ``bytearray``
-    of exactly :func:`stream_size` bytes is allocated; pass a reusable
-    buffer (and an ``offset``) to pack several batches back to back
-    without reallocating — the round-based serving pipeline packs every
-    peer's blocks for one round into a single buffer this way.
+    All headers, sequences, coefficient rows and payload rows are
+    written with strided numpy assignments into the (optionally
+    caller-preallocated) buffer, and every frame's :func:`digest64` is
+    computed in one vectorized pass.  Frames carry consecutive sequence
+    numbers starting at ``first_sequence`` and the optional
+    ``worker_id`` stamp in their flags.  When ``out`` is omitted a fresh
+    ``bytearray`` of exactly :func:`stream_size` bytes is allocated;
+    pass a reusable buffer (and an ``offset``) to pack several batches
+    back to back without reallocating — the round-based serving pipeline
+    packs every peer's blocks for one round into a single buffer this
+    way.
 
-    The version-1 bytes are identical to concatenating
-    ``encode_frame(block)`` over ``batch.rows()``.
+    The bytes are identical to ``encode_stream(batch.rows(),
+    first_sequence=first_sequence)`` (with the same stamp).
     """
     m = len(batch)
     n, k = batch.num_blocks, batch.block_size
-    header = _header_struct(version)
-    size_one = frame_size(n, k, checksum=checksum, version=version)
+    size_one = frame_size(n, k, checksum=checksum)
     total = m * size_one
     if out is None:
         if offset:
@@ -485,38 +432,26 @@ def pack_blocks(
     if m == 0:
         return region
     frames = np.frombuffer(region, dtype=np.uint8).reshape(m, size_one)
-    flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(
-        version, worker_id
+    flags = (FLAG_CHECKSUM if checksum else 0) | _worker_flag_bits(worker_id)
+    packed = _HEADER.pack(MAGIC, VERSION2, flags, batch.segment_id, n, k, 0)
+    head = _HEADER.size
+    frames[:, :head] = np.frombuffer(packed, dtype=np.uint8)
+    sequences = (
+        np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
+    ) & np.uint64(0xFFFFFFFF)
+    frames[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
+        sequences.astype(">u4").view(np.uint8).reshape(m, 4)
     )
-    if version == VERSION:
-        packed = header.pack(MAGIC, version, flags, batch.segment_id, n, k)
-    else:
-        packed = header.pack(
-            MAGIC, version, flags, batch.segment_id, n, k, 0
-        )
-    frames[:, : header.size] = np.frombuffer(packed, dtype=np.uint8)
-    if version == VERSION2:
-        sequences = (
-            np.uint64(first_sequence) + np.arange(m, dtype=np.uint64)
-        ) & np.uint64(0xFFFFFFFF)
-        frames[:, _SEQ_OFFSET : _SEQ_OFFSET + 4] = (
-            sequences.astype(">u4").view(np.uint8).reshape(m, 4)
-        )
-    frames[:, header.size : header.size + n] = batch.coefficients
-    body = header.size + n + k
-    frames[:, header.size + n : body] = batch.payloads
+    frames[:, head : head + n] = batch.coefficients
+    body = head + n + k
+    frames[:, head + n : body] = batch.payloads
     if checksum:
-        if version == VERSION:
-            for row in range(m):
-                crc = zlib.crc32(frames[row, :body]) & 0xFFFFFFFF
-                _CRC.pack_into(region, row * size_one + body, crc)
-        else:
-            digests = _digest64_rows(
-                frames[:, : header.size], batch.coefficients, batch.payloads
-            )
-            frames[:, body : body + 8] = (
-                digests.astype(">u8").view(np.uint8).reshape(m, 8)
-            )
+        digests = _digest64_rows(
+            frames[:, :head], batch.coefficients, batch.payloads
+        )
+        frames[:, body : body + 8] = (
+            digests.astype(">u8").view(np.uint8).reshape(m, 8)
+        )
     _wire_counter("wire_frames_packed").inc(m)
     _wire_counter("wire_bytes_packed").inc(total)
     return region
@@ -525,10 +460,10 @@ def pack_blocks(
 def _parse_header(view: memoryview, offset: int):
     """Validate and read one frame header; never reads past the buffer.
 
-    Returns ``(version, flags, segment_id, n, k, sequence, header_size)``.
+    Returns ``(flags, segment_id, n, k, sequence)``.
 
     Raises:
-        WireError: on truncation, bad magic, or unknown version.
+        WireError: on truncation, bad magic, or unsupported version.
     """
     remaining = len(view) - offset
     if remaining < _HEADER.size:
@@ -536,37 +471,19 @@ def _parse_header(view: memoryview, offset: int):
     if bytes(view[offset : offset + 4]) != MAGIC:
         raise WireError(f"bad magic {bytes(view[offset:offset + 4])!r}")
     version = view[offset + 4]
-    header = _header_struct(version)  # raises WireError on unknown version
-    if remaining < header.size:
-        raise WireError(
-            f"stream truncated at {remaining} bytes (need {header.size} "
-            f"for a version-{version} header)"
-        )
-    if version == VERSION:
-        _, _, flags, segment_id, n, k = header.unpack_from(view, offset)
-        sequence = None
-    else:
-        _, _, flags, segment_id, n, k, sequence = header.unpack_from(view, offset)
-    return version, flags, segment_id, n, k, sequence, header.size
+    if version != VERSION2:
+        raise WireError(f"unsupported frame version {version}")
+    _, _, flags, segment_id, n, k, sequence = _HEADER.unpack_from(view, offset)
+    return flags, segment_id, n, k, sequence
 
 
-def _verify_frame(view: memoryview, offset: int, version: int, header_size: int,
-                  n: int, k: int) -> bool:
+def _verify_frame(view: memoryview, offset: int, n: int, k: int) -> bool:
     """Check one frame's integrity trailer; the frame must be in bounds."""
-    body_end = offset + header_size + n + k
-    if version == VERSION:
-        (stored,) = _CRC.unpack_from(view, body_end)
-        return stored == zlib.crc32(view[offset:body_end]) & 0xFFFFFFFF
-    (stored,) = _DIGEST.unpack_from(view, body_end)
-    coefficients = np.frombuffer(
-        view, dtype=np.uint8, count=n, offset=offset + header_size
-    )
-    payload = np.frombuffer(
-        view, dtype=np.uint8, count=k, offset=offset + header_size + n
-    )
-    computed = digest64(
-        bytes(view[offset : offset + header_size]), coefficients, payload
-    )
+    body = offset + _HEADER.size
+    (stored,) = _DIGEST.unpack_from(view, body + n + k)
+    coefficients = np.frombuffer(view, dtype=np.uint8, count=n, offset=body)
+    payload = np.frombuffer(view, dtype=np.uint8, count=k, offset=body + n)
+    computed = digest64(bytes(view[offset:body]), coefficients, payload)
     return stored == computed
 
 
@@ -576,50 +493,47 @@ def unpack_frame(
     *,
     strict: bool = True,
     stats: WireStats | None = None,
-) -> tuple[CodedBlock | None, int, int | None]:
+) -> tuple[CodedBlock | None, int, int]:
     """Parse one frame at ``offset``; return ``(block, size, sequence)``.
 
-    The incremental intake primitive: works for both frame versions,
-    bound-checks every length field against the buffer before touching
-    the body (a lying header raises :class:`~repro.errors.WireError`
-    instead of over-reading), and handles integrity failures per the
-    unpack mode — strict raises :class:`~repro.errors.IntegrityError`;
-    lenient counts the failure in ``stats`` and returns ``(None, size,
-    sequence)`` so the caller can skip exactly one frame and continue.
-    ``sequence`` is ``None`` for version-1 frames.
+    The incremental intake primitive: bound-checks every length field
+    against the buffer before touching the body (a lying header raises
+    :class:`~repro.errors.WireError` instead of over-reading), and
+    handles integrity failures per the unpack mode — strict raises
+    :class:`~repro.errors.IntegrityError`; lenient counts the failure in
+    ``stats`` and returns ``(None, size, sequence)`` so the caller can
+    skip exactly one frame and continue.  Structural damage (bad magic,
+    unsupported version, lying lengths) raises
+    :class:`~repro.errors.WireError` in both modes.
     """
     view = memoryview(data)
-    version, flags, segment_id, n, k, sequence, header_size = _parse_header(
-        view, offset
-    )
+    flags, segment_id, n, k, sequence = _parse_header(view, offset)
     has_checksum = bool(flags & FLAG_CHECKSUM)
-    size = frame_size(n, k, checksum=has_checksum, version=version)
+    size = frame_size(n, k, checksum=has_checksum)
     if offset + size > len(view):
         raise WireError(
             f"header length fields (n={n}, k={k}) exceed the buffer: frame "
             f"needs {size} bytes, {len(view) - offset} remain"
         )
     _wire_counter("wire_bytes_unpacked").inc(size)
-    if has_checksum and not _verify_frame(view, offset, version, header_size, n, k):
+    if has_checksum and not _verify_frame(view, offset, n, k):
         if strict:
             raise IntegrityError(
-                f"checksum mismatch in frame at offset {offset} "
-                f"(version {version}, n={n}, k={k})"
+                f"checksum mismatch in frame at offset {offset} (n={n}, k={k})"
             )
         if stats is not None:
             stats.record_checksum_failure()
         return None, size, sequence
-    coefficients = np.frombuffer(
-        view, dtype=np.uint8, count=n, offset=offset + header_size
-    ).copy()
-    payload = np.frombuffer(
-        view, dtype=np.uint8, count=k, offset=offset + header_size + n
-    ).copy()
+    body = offset + _HEADER.size
+    coefficients = np.frombuffer(view, dtype=np.uint8, count=n, offset=body)
+    payload = np.frombuffer(view, dtype=np.uint8, count=k, offset=body + n)
     if stats is not None:
         stats.record_ok()
     return (
         CodedBlock(
-            coefficients=coefficients, payload=payload, segment_id=segment_id
+            coefficients=coefficients.copy(),
+            payload=payload.copy(),
+            segment_id=segment_id,
         ),
         size,
         sequence,
@@ -637,7 +551,7 @@ def unpack_blocks(
 
     This is the vectorized intake path: the whole buffer is viewed as an
     (m, frame_size) byte matrix, headers are validated with one batched
-    comparison, version-2 digests are verified in one vectorized pass,
+    comparison, digests are verified in one vectorized pass,
     and the returned coefficient/payload matrices are zero-copy strided
     views into ``data`` (pass ``copy=True`` to detach them, e.g. when
     the receive buffer will be reused).  The matrices feed
@@ -660,9 +574,9 @@ def unpack_blocks(
         IntegrityError: (strict) on any checksum failure.
     """
     view = memoryview(data)
-    version, flags, segment_id, n, k, _, header_size = _parse_header(view, 0)
+    flags, segment_id, n, k, _ = _parse_header(view, 0)
     has_checksum = bool(flags & FLAG_CHECKSUM)
-    size_one = frame_size(n, k, checksum=has_checksum, version=version)
+    size_one = frame_size(n, k, checksum=has_checksum)
     tail = len(view) % size_one
     if tail and strict:
         raise WireError(
@@ -683,9 +597,9 @@ def unpack_blocks(
     frames = np.frombuffer(view, dtype=np.uint8, count=m * size_one).reshape(
         m, size_one
     )
-    # Sequence bytes legitimately differ per v2 frame; everything before
-    # them must match frame 0 (for v1 that is the whole header).
-    fixed = _SEQ_OFFSET if version == VERSION2 else header_size
+    # Sequence bytes legitimately differ per frame; everything before
+    # them must match frame 0.
+    fixed = _SEQ_OFFSET
     reference = frames[0, :fixed]
     good = np.ones(m, dtype=bool)
     if m > 1:
@@ -701,51 +615,36 @@ def unpack_blocks(
             good &= matches
             if stats is not None:
                 stats.record_malformed(int(m - int(matches.sum())))
-    body = header_size + n + k
+    head = _HEADER.size
+    body = head + n + k
     if has_checksum:
-        if version == VERSION:
-            for row in range(m):
-                if not good[row]:
-                    continue
-                (stored,) = _CRC.unpack_from(view, row * size_one + body)
-                actual = zlib.crc32(frames[row, :body]) & 0xFFFFFFFF
-                if stored != actual:
-                    if strict:
-                        raise IntegrityError(
-                            f"checksum mismatch in frame {row}: stored "
-                            f"{stored:#010x}, computed {actual:#010x}"
-                        )
-                    good[row] = False
-                    if stats is not None:
-                        stats.record_checksum_failure()
-        else:
-            digests = _digest64_rows(
-                frames[:, :header_size],
-                frames[:, header_size : header_size + n],
-                frames[:, header_size + n : body],
-            )
-            stored = (
-                np.ascontiguousarray(frames[:, body : body + 8])
-                .view(">u8")
-                .reshape(m)
-            )
-            matches = stored == digests
-            bad = good & ~matches
-            if bad.any():
-                if strict:
-                    row = int(np.nonzero(bad)[0][0])
-                    raise IntegrityError(
-                        f"checksum mismatch in frame {row}: stored "
-                        f"{int(stored[row]):#018x}, computed "
-                        f"{int(digests[row]):#018x}"
-                    )
-                if stats is not None:
-                    stats.record_checksum_failure(int(bad.sum()))
-                good &= matches
+        digests = _digest64_rows(
+            frames[:, :head],
+            frames[:, head : head + n],
+            frames[:, head + n : body],
+        )
+        stored = (
+            np.ascontiguousarray(frames[:, body : body + 8])
+            .view(">u8")
+            .reshape(m)
+        )
+        matches = stored == digests
+        bad = good & ~matches
+        if bad.any():
+            if strict:
+                row = int(np.nonzero(bad)[0][0])
+                raise IntegrityError(
+                    f"checksum mismatch in frame {row}: stored "
+                    f"{int(stored[row]):#018x}, computed "
+                    f"{int(digests[row]):#018x}"
+                )
+            if stats is not None:
+                stats.record_checksum_failure(int(bad.sum()))
+            good &= matches
     if stats is not None:
         stats.record_ok(int(good.sum()))
-    coefficients = frames[:, header_size : header_size + n]
-    payloads = frames[:, header_size + n : body]
+    coefficients = frames[:, head : head + n]
+    payloads = frames[:, head + n : body]
     if not good.all():
         coefficients = coefficients[good]
         payloads = payloads[good]
@@ -758,26 +657,18 @@ def unpack_blocks(
 
 
 def encode_frame(
-    block: CodedBlock,
-    *,
-    checksum: bool = True,
-    version: int = VERSION,
-    sequence: int = 0,
+    block: CodedBlock, *, checksum: bool = True, sequence: int = 0
 ) -> bytes:
     """Serialize one coded block to its wire frame."""
     buffer = bytearray(
-        frame_size(
-            block.num_blocks, block.block_size, checksum=checksum, version=version
-        )
+        frame_size(block.num_blocks, block.block_size, checksum=checksum)
     )
-    pack_frame_into(
-        block, buffer, checksum=checksum, version=version, sequence=sequence
-    )
+    pack_frame_into(block, buffer, checksum=checksum, sequence=sequence)
     return bytes(buffer)
 
 
 def decode_frame(frame: bytes) -> CodedBlock:
-    """Parse one exact wire frame back into a coded block (either version).
+    """Parse one exact wire frame back into a coded block.
 
     Raises:
         WireError: on truncation, bad magic/version, or geometry/length
@@ -785,10 +676,8 @@ def decode_frame(frame: bytes) -> CodedBlock:
         IntegrityError: on checksum failure.
     """
     view = memoryview(frame)
-    version, flags, _, n, k, _, _ = _parse_header(view, 0)
-    expected = frame_size(
-        n, k, checksum=bool(flags & FLAG_CHECKSUM), version=version
-    )
+    flags, _, n, k, _ = _parse_header(view, 0)
+    expected = frame_size(n, k, checksum=bool(flags & FLAG_CHECKSUM))
     if len(view) != expected:
         raise WireError(
             f"frame length {len(view)} does not match geometry "
@@ -799,24 +688,18 @@ def decode_frame(frame: bytes) -> CodedBlock:
 
 
 def encode_stream(
-    blocks,
-    *,
-    checksum: bool = True,
-    version: int = VERSION,
-    first_sequence: int = 0,
+    blocks, *, checksum: bool = True, first_sequence: int = 0
 ) -> bytes:
     """Concatenate frames for a block stream (one up-front allocation).
 
     Sizes are computed first so the whole stream packs into a single
     buffer via :func:`pack_frame_into` — no per-block ``bytes()``
-    intermediates.  Heterogeneous geometries are allowed.  Version-2
-    frames are stamped with consecutive sequence numbers.
+    intermediates.  Heterogeneous geometries are allowed.  Frames are
+    stamped with consecutive sequence numbers.
     """
     blocks = list(blocks)
     sizes = [
-        frame_size(
-            block.num_blocks, block.block_size, checksum=checksum, version=version
-        )
+        frame_size(block.num_blocks, block.block_size, checksum=checksum)
         for block in blocks
     ]
     buffer = bytearray(sum(sizes))
@@ -827,7 +710,6 @@ def encode_stream(
             buffer,
             offset,
             checksum=checksum,
-            version=version,
             sequence=first_sequence + index,
         )
         offset += size
@@ -839,8 +721,8 @@ def decode_stream(
 ) -> list[CodedBlock]:
     """Split a concatenated frame stream back into blocks.
 
-    Frames are self-describing, so heterogeneous geometries and mixed
-    versions are allowed; in strict mode a torn final frame or any
+    Frames are self-describing, so heterogeneous geometries are
+    allowed; in strict mode a torn final frame or any
     integrity failure raises.  In lenient mode damaged frames are
     dropped and counted in ``stats``, and after a frame whose *framing*
     is unparseable (corrupted magic or length fields) the reader

@@ -29,6 +29,7 @@ from repro.cluster.cluster import ClusterStats, ServingCluster
 from repro.errors import RetryLater
 from repro.multicast.relay import RelayNode
 from repro.rlnc.block import Segment
+from repro.rlnc.wire import VERSION2
 from repro.streaming.client import ClientSession, SessionStats, drive_sessions
 from repro.streaming.server import ServerStats, StreamingServer
 from repro.streaming.session import MediaProfile
@@ -53,6 +54,13 @@ class ServingEndpoint(Protocol):
     object exposing ``blocks_pending`` (the client's NACK accounting
     reads it between rounds), and ``profile`` must carry the media and
     coding geometry.
+
+    ``format="frames"`` rounds emit the one wire format of
+    :mod:`repro.rlnc.wire`: a sequence number per session, a worker
+    stamp when the endpoint has one, and digest trailers unless
+    ``checksum=False``.  The ``version`` keyword on the round methods
+    accepts only 2 and raises :class:`~repro.errors.WireError`
+    otherwise; it remains for callers that still spell it out.
     """
 
     profile: MediaProfile
@@ -76,7 +84,7 @@ class ServingEndpoint(Protocol):
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = 1,
+        version: int = VERSION2,
     ) -> dict:
         """Drain one coalesced scheduling round (batches or frames)."""
         ...
@@ -86,7 +94,7 @@ class ServingEndpoint(Protocol):
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = 1,
+        version: int = VERSION2,
     ) -> object:
         """Start a round pipelined; returns a ticket for collect_round.
 

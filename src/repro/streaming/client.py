@@ -42,7 +42,7 @@ from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.decoder import ProgressiveDecoder
-from repro.rlnc.wire import VERSION2, WireStats, frame_size, unpack_frame
+from repro.rlnc.wire import WireStats, frame_size, unpack_frame
 from repro.streaming.session import MediaProfile
 
 if TYPE_CHECKING:
@@ -253,10 +253,7 @@ class ClientSession:
         max_backoff_rounds: backoff ceiling.
         max_rounds_per_segment: hard bound on total rounds per segment —
             the anti-hang guard for soak tests.
-        wire_version: frame format to request from the server
-            (:data:`~repro.rlnc.wire.VERSION2` by default, for digest
-            trailers and sequence numbers).
-        checksum: whether frames carry integrity trailers.
+        checksum: whether frames carry digest trailers.
         upstream: source label charged in the decoder's corruption
             accounting for damage on this session's wire.
     """
@@ -272,7 +269,6 @@ class ClientSession:
         backoff_factor: int = 2,
         max_backoff_rounds: int = 32,
         max_rounds_per_segment: int = 10_000,
-        wire_version: int = VERSION2,
         checksum: bool = True,
         upstream: object = "server",
     ) -> None:
@@ -294,7 +290,6 @@ class ClientSession:
         self.backoff_factor = backoff_factor
         self.max_backoff_rounds = max_backoff_rounds
         self.max_rounds_per_segment = max_rounds_per_segment
-        self.wire_version = wire_version
         self.checksum = checksum
         self.upstream = upstream
         self.stats = SessionStats()
@@ -311,10 +306,7 @@ class ClientSession:
         self._session = server.connect(peer_id)
         params = server.profile.params
         self._frame_bytes = frame_size(
-            params.num_blocks,
-            params.block_size,
-            checksum=checksum,
-            version=wire_version,
+            params.num_blocks, params.block_size, checksum=checksum
         )
         self._decoder: ProgressiveDecoder | None = None
         self._segment_id: int | None = None
@@ -504,7 +496,7 @@ class ClientSession:
         while not self.complete:
             self.pre_round()
             frames = self.server.serve_round(
-                format="frames", checksum=self.checksum, version=self.wire_version
+                format="frames", checksum=self.checksum
             )
             self.intake(frames.get(self.peer_id))
         return self.finish_segment(original_length)
@@ -555,25 +547,21 @@ def drive_sessions(
     The multi-peer counterpart of :meth:`ClientSession.fetch_segment`:
     each round, every unfinished session gets its ``pre_round`` ask, the
     server serves one coalesced round, and every unfinished session
-    intakes its slice.  All sessions must agree on wire settings since
+    intakes its slice.  All sessions must agree on ``checksum`` since
     one server round serves them all.
 
     Returns:
         The number of server rounds driven.
 
     Raises:
-        ConfigurationError: on mixed wire settings.
+        ConfigurationError: on mixed ``checksum`` settings.
         RetryExhaustedError: if ``max_rounds`` elapse first.
     """
     if not sessions:
         return 0
-    version = sessions[0].wire_version
     checksum = sessions[0].checksum
-    for session in sessions:
-        if session.wire_version != version or session.checksum != checksum:
-            raise ConfigurationError(
-                "all driven sessions must share wire_version and checksum"
-            )
+    if any(session.checksum != checksum for session in sessions):
+        raise ConfigurationError("all driven sessions must share checksum")
     rounds = 0
     while any(not session.complete for session in sessions):
         if rounds >= max_rounds:
@@ -583,9 +571,7 @@ def drive_sessions(
         for session in sessions:
             if not session.complete:
                 session.pre_round()
-        frames = server.serve_round(
-            format="frames", checksum=checksum, version=version
-        )
+        frames = server.serve_round(format="frames", checksum=checksum)
         for session in sessions:
             if not session.complete:
                 session.intake(frames.get(session.peer_id))

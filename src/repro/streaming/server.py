@@ -47,7 +47,7 @@ from repro.kernels.encode import GpuEncoder
 from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, Segment
-from repro.rlnc.wire import VERSION, VERSION2, pack_blocks, stream_size
+from repro.rlnc.wire import VERSION2, check_version, pack_blocks, stream_size
 from repro.streaming.capacity import segments_in_device_memory
 from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
 from repro.streaming.session import MediaProfile, PeerSession
@@ -125,11 +125,10 @@ class StreamingServer:
             nearly-complete sessions); otherwise the server answers with
             :class:`~repro.errors.RetryLater` instead of queueing.
         worker_id: when the server runs as one worker of a sharded
-            cluster, its cluster-assigned id; version-2 frames it packs
-            are stamped with it (see
+            cluster, its cluster-assigned id; frames it packs are
+            stamped with it (see
             :func:`~repro.rlnc.wire.frame_worker_id`).  ``None`` (the
-            single-node default) leaves frames unstamped and
-            byte-identical to previous releases.
+            single-node default) leaves frames unstamped.
     """
 
     def __init__(
@@ -466,7 +465,7 @@ class StreamingServer:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
         """Drain one scheduling round of the request queue.
 
@@ -489,13 +488,13 @@ class StreamingServer:
                 the next packs; consume or copy before the slot is
                 reused).
             checksum: frames format only — whether frames carry
-                integrity trailers.
-            version: frames format only — wire format version.
-                ``version=2`` emits the integrity format: digest
-                trailers, per-session monotonic sequence numbers (from
+                digest trailers.  Frames always carry per-session
+                monotonic sequence numbers (from
                 :attr:`~repro.streaming.session.PeerSession.tx_sequence`)
                 and, when the server has a :attr:`worker_id`, the
                 cluster worker stamp.
+            version: accepts only 2, the one frame version; kept for
+                callers that still spell it out.
 
         Returns:
             The per-peer grants in the requested representation (empty
@@ -503,14 +502,16 @@ class StreamingServer:
 
         Raises:
             ConfigurationError: on an unknown ``format``.
+            WireError: on any ``version`` but 2.
             CapacityError: if a queued segment was evicted behind the
                 queue's back (cannot normally happen —
                 :meth:`evict_segment` drops its queued requests).
         """
+        check_version(version)
         if format == "batches":
             return self._round_batches()
         if format == "frames":
-            return self._round_frames(checksum=checksum, version=version)
+            return self._round_frames(checksum=checksum)
         raise ConfigurationError(
             f"unknown serve_round format {format!r}; "
             "expected 'batches' or 'frames'"
@@ -569,7 +570,6 @@ class StreamingServer:
         alloc: Callable[[int], tuple[object, int]],
         *,
         checksum: bool = True,
-        version: int = VERSION,
         stamp_sequence: bool = True,
     ) -> dict[int, list[tuple[int, int]]]:
         """Serve one round packed into caller-allocated wire storage.
@@ -586,10 +586,8 @@ class StreamingServer:
             alloc: called once per non-empty round with the round's
                 total wire size; must return ``(buffer, offset)`` — any
                 writable buffer and the position to start packing at.
-            checksum: whether frames carry integrity trailers.
-            version: wire format version (``version=2`` adds digests,
-                sequences and the worker stamp).
-            stamp_sequence: when True (the frames-path default), v2
+            checksum: whether frames carry digest trailers.
+            stamp_sequence: when True (the frames-path default),
                 frames consume each session's monotonic
                 :attr:`~repro.streaming.session.PeerSession.tx_sequence`.
                 False packs sequence-neutral frames (used when frames
@@ -612,7 +610,6 @@ class StreamingServer:
                     batch.num_blocks,
                     batch.block_size,
                     checksum=checksum,
-                    version=version,
                 )
                 for batches in fanout.values()
                 for batch in batches
@@ -620,7 +617,6 @@ class StreamingServer:
             buffer, offset = alloc(total)
             view = memoryview(buffer)
             spans: dict[int, list[tuple[int, int]]] = {}
-            stamp = self.worker_id if version == VERSION2 else None
             with trace("wire_pack"):
                 for peer_id, batches in fanout.items():
                     session = self._sessions[peer_id]
@@ -632,9 +628,8 @@ class StreamingServer:
                             checksum=checksum,
                             out=view,
                             offset=offset,
-                            version=version,
                             first_sequence=sequence,
-                            worker_id=stamp,
+                            worker_id=self.worker_id,
                         )
                         if stamp_sequence:
                             session.tx_sequence += len(batch)
@@ -642,9 +637,7 @@ class StreamingServer:
                         offset += len(packed)
         return spans
 
-    def _round_frames(
-        self, *, checksum: bool, version: int
-    ) -> dict[int, memoryview]:
+    def _round_frames(self, *, checksum: bool) -> dict[int, memoryview]:
         """Serve one round straight onto the wire, zero-copy.
 
         :meth:`serve_round_into` targeting the server's own contiguous
@@ -663,9 +656,7 @@ class StreamingServer:
                 self._wire_buffers[slot] = bytearray(total)
             return self._wire_buffers[slot], 0
 
-        spans = self.serve_round_into(
-            alloc, checksum=checksum, version=version
-        )
+        spans = self.serve_round_into(alloc, checksum=checksum)
         view = memoryview(self._wire_buffers[slot])
         frames: dict[int, memoryview] = {}
         for peer_id, peer_spans in spans.items():
@@ -679,7 +670,7 @@ class StreamingServer:
         *,
         format: str = "batches",
         checksum: bool = True,
-        version: int = VERSION,
+        version: int = VERSION2,
     ) -> object:
         """Pipelined serving entry: start a round, collect it later.
 
@@ -691,7 +682,8 @@ class StreamingServer:
         multiprocess :class:`~repro.cluster.ServingCluster` implements
         the same pair with genuine overlap (workers encode while the
         driver transmits), so drivers treat every
-        :class:`~repro.serving.ServingEndpoint` alike.
+        :class:`~repro.serving.ServingEndpoint` alike.  ``version``
+        accepts only 2, as in :meth:`serve_round`.
 
         Returns:
             An opaque ticket for :meth:`collect_round`.

@@ -62,7 +62,7 @@ class PeerSession:
     blocks_requested: int = 0
     segments_completed: int = 0
     rounds_served: int = 0
-    #: next wire sequence number for v2 frames sent to this peer
+    #: next wire sequence number for frames sent to this peer
     #: (monotonic per session, stamped by ``serve_round(format="frames")``).
     tx_sequence: int = 0
 

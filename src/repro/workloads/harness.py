@@ -14,7 +14,7 @@ population the way large-scale simulators do:
 * **Sampled truth** — a small cohort of real NACK-driven
   :class:`~repro.streaming.client.ClientSession` peers rides the actual
   :class:`~repro.cluster.cluster.ServingCluster` every round, fetching
-  popularity-drawn segments over the v2 wire path and verifying every
+  popularity-drawn segments over the wire path and verifying every
   completed segment byte-for-byte against its origin.  Scale events,
   churn flaps and shed responses all happen *under* these sessions, so
   byte-exactness certifies the data path through every membership
@@ -49,7 +49,6 @@ from repro.obs.registry import (
     quantile_from_buckets,
 )
 from repro.rlnc.block import CodingParams
-from repro.rlnc.wire import VERSION2
 from repro.streaming.client import ClientSession
 from repro.streaming.session import MediaProfile
 from repro.workloads.autoscaler import (
@@ -333,7 +332,7 @@ def run_loadtest(
         # The sampled-truth cohort: real sessions on the real cluster.
         popularity = generator.popularity
         cohort = [
-            ClientSession(cluster, peer_id, wire_version=VERSION2)
+            ClientSession(cluster, peer_id)
             for peer_id in range(sample_peers)
         ]
         cohort_targets = [
@@ -446,9 +445,7 @@ def run_loadtest(
                     session.pre_round()
                 except RetryExhaustedError:
                     exhausted.add(peer_id)
-            frames = cluster.serve_round(
-                format="frames", version=VERSION2
-            )
+            frames = cluster.serve_round(format="frames")
             for peer_id, session in enumerate(cohort):
                 if peer_id in exhausted:
                     continue

@@ -7,7 +7,7 @@ from repro.cluster import ServingCluster, run_cluster_workload
 from repro.errors import CapacityError, ConfigurationError, RetryLater
 from repro.faults import WorkerKillPlan
 from repro.gpu import GTX280
-from repro.rlnc import VERSION2, CodingParams, Segment, frame_worker_id
+from repro.rlnc import CodingParams, Segment, frame_worker_id
 from repro.streaming import MediaProfile
 from tests.cluster.conftest import capped_workers
 
@@ -100,14 +100,14 @@ class TestWorkerStamping:
         placement = cluster.placement()
         for segment_id in placement:
             cluster.request_blocks(1, segment_id, 1)
-        frames = cluster.serve_round(format="frames", version=VERSION2)
+        frames = cluster.serve_round(format="frames")
         stamped = set()
         payload = bytes(frames[1])
         offset = 0
         n, k = SMALL_PROFILE.params.num_blocks, SMALL_PROFILE.params.block_size
         from repro.rlnc import frame_size
 
-        step = frame_size(n, k, version=VERSION2)
+        step = frame_size(n, k)
         while offset < len(payload):
             stamped.add(frame_worker_id(payload, offset))
             offset += step

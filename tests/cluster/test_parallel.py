@@ -27,7 +27,7 @@ from repro.errors import (
 )
 from repro.faults import WorkerKillPlan
 from repro.gpu import GTX280
-from repro.rlnc import VERSION2, CodingParams, Segment
+from repro.rlnc import CodingParams, Segment
 from repro.streaming import MediaProfile
 from tests.cluster.conftest import capped_workers
 
@@ -77,8 +77,8 @@ class TestByteExactness:
                     for peer in range(3):
                         for segment in range(4):
                             cluster.request_blocks(peer, segment, 2)
-                a = serial.serve_round(format="frames", version=VERSION2)
-                b = parallel.serve_round(format="frames", version=VERSION2)
+                a = serial.serve_round(format="frames")
+                b = parallel.serve_round(format="frames")
                 assert a.keys() == b.keys()
                 for peer in a:
                     assert bytes(a[peer]) == bytes(b[peer])
@@ -111,8 +111,8 @@ class TestByteExactness:
                 cluster.request_blocks(1, 0, 2)
                 cluster.serve_round()  # batches
                 cluster.request_blocks(1, 1, 2)
-            a = serial.serve_round(format="frames", version=VERSION2)
-            b = parallel.serve_round(format="frames", version=VERSION2)
+            a = serial.serve_round(format="frames")
+            b = parallel.serve_round(format="frames")
             assert bytes(a[1]) == bytes(b[1])
 
     def test_workload_reports_match_across_substrates(self):
@@ -150,7 +150,7 @@ class TestControlDataSplit:
             for peer in range(4):
                 for segment in range(2):
                     cluster.request_blocks(peer, segment, 8)
-            frames = cluster.serve_round(format="frames", version=VERSION2)
+            frames = cluster.serve_round(format="frames")
             payload_bytes = sum(len(f) for f in frames.values())
             control_bytes = self._control_bytes(cluster) - before
             # The whole point of the shared-memory data plane: control
@@ -203,7 +203,7 @@ class TestRealProcessFailover:
                 os.kill(pid, 0)
             # the survivor took over segment 0 and still serves it
             assert cluster.request_blocks(1, 0, 2) is None
-            frames = cluster.serve_round(format="frames", version=VERSION2)
+            frames = cluster.serve_round(format="frames")
             assert len(bytes(frames[1])) > 0
             # talking to the dead worker's handle fails loudly
             with pytest.raises(WorkerCrashError):
@@ -265,7 +265,7 @@ class TestResourceHygiene:
             for peer in range(24):
                 cluster.connect(peer)
                 cluster.request_blocks(peer, 0, 16)
-            frames = cluster.serve_round(format="frames", version=VERSION2)
+            frames = cluster.serve_round(format="frames")
             assert len(frames) == 24
             assert proc.ring.capacity > initial
             del frames
@@ -283,7 +283,7 @@ class TestResourceHygiene:
             for segment in range(4):
                 cluster.request_blocks(1, segment, 2)
             assert view.blocks_pending == 8
-            cluster.serve_round(format="frames", version=VERSION2)
+            cluster.serve_round(format="frames")
             assert view.blocks_pending == 0
             assert view.blocks_received == 8
             for wid in cluster.live_workers:
@@ -353,7 +353,7 @@ class TestEndpointContractInParallel:
             cluster.connect(1)
             for segment in range(4):
                 cluster.request_blocks(1, segment, 2)
-            cluster.serve_round(format="frames", version=VERSION2)
+            cluster.serve_round(format="frames")
             snap = cluster.stats_snapshot()
             assert snap["gauges"]["cluster_parallel"] == 1.0
             assert snap["counters"]["cluster_control_bytes_sent"] > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WireError
 from repro.gpu import GTX280
 from repro.rlnc import CodingParams, Segment
 from repro.serving import (
@@ -98,6 +98,19 @@ class TestPipelinedRounds:
         assert {p: bytes(f) for p, f in expected.items()} == {
             p: bytes(f) for p, f in produced.items()
         }
+
+    @pytest.mark.parametrize("factory", ENDPOINT_FACTORIES)
+    def test_round_version_keyword_accepts_only_2(self, factory):
+        endpoint = factory()
+        endpoint.publish(make_segment(0))
+        endpoint.connect(1)
+        endpoint.request_blocks(1, 0, 2)
+        for call in (endpoint.serve_round, endpoint.begin_round):
+            with pytest.raises(WireError, match="version 1"):
+                call(format="frames", version=1)
+        assert endpoint.pending_blocks == 2
+        frames = endpoint.serve_round(format="frames", version=2)
+        assert bytes(frames[1])[4] == 2
 
     @pytest.mark.parametrize("factory", ENDPOINT_FACTORIES)
     def test_ticket_cannot_be_collected_twice(self, factory):

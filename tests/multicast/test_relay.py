@@ -164,7 +164,7 @@ class TestServeRound:
             relay.publish(make_segment())
             relay.connect(1)
             relay.request_blocks(1, 0, 4)
-            frames = relay.serve_round(format="frames", version=2)
+            frames = relay.serve_round(format="frames")
             outputs.append(bytes(frames[1]))
         assert outputs[0] == outputs[1]
 
@@ -179,10 +179,8 @@ class TestWireFrames:
         relay.publish(make_segment())
         relay.connect(1)
         relay.request_blocks(1, 0, 2)
-        wire = bytes(relay.serve_round(format="frames", version=2)[1])
-        size = frame_size(
-            PARAMS.num_blocks, PARAMS.block_size, checksum=True, version=2
-        )
+        wire = bytes(relay.serve_round(format="frames")[1])
+        size = frame_size(PARAMS.num_blocks, PARAMS.block_size, checksum=True)
         sequences = []
         for i in range(2):
             frame = wire[i * size : (i + 1) * size]
@@ -197,10 +195,10 @@ class TestWireFrames:
         relay.publish(make_segment())
         relay.connect(1)
         relay.request_blocks(1, 0, 2)
-        first = relay.serve_round(format="frames", version=2)[1]
+        first = relay.serve_round(format="frames")[1]
         first_copy = bytes(first)
         relay.request_blocks(1, 0, 2)
-        relay.serve_round(format="frames", version=2)
+        relay.serve_round(format="frames")
         # One more round in flight: round r's view still reads intact.
         assert bytes(first) == first_copy
 
@@ -211,7 +209,7 @@ class TestStats:
         relay.publish(make_segment())
         relay.connect(1)
         relay.request_blocks(1, 0, 2)
-        relay.serve_round(format="frames", version=2)
+        relay.serve_round(format="frames")
         snapshot = relay.stats_snapshot()
         counters = snapshot["counters"]
         assert counters["relay_rounds_served"] == 1.0

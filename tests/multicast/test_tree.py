@@ -8,7 +8,7 @@ from repro.faults import FaultPlan
 from repro.gpu import GTX280
 from repro.multicast import MulticastTree, RelayNode, RelayUplink
 from repro.p2p import distribution_tree
-from repro.rlnc import CodingParams, Segment
+from repro.rlnc import BlockBatch, CodingParams, Encoder, Segment
 from repro.streaming import MediaProfile
 from repro.streaming.server import StreamingServer
 
@@ -137,12 +137,41 @@ class TestRelayUplink:
         rounds = 0
         while relay.held(segment.segment_id) < PARAMS.num_blocks:
             uplink.pre_round(segment.segment_id)
-            frames = root.serve_round(format="frames", version=2)
+            frames = root.serve_round(format="frames")
             uplink.intake(segment.segment_id, frames.get(0))
             rounds += 1
             assert rounds < 50
         assert relay.held(segment.segment_id) == PARAMS.num_blocks
+        assert relay.rank(segment.segment_id) == PARAMS.num_blocks
         uplink.pre_round(segment.segment_id)  # saturated: no new ask
+        assert root.pending_blocks == 0
+
+    def test_dependent_blocks_do_not_count_toward_the_top_up(self):
+        # n blocks held, one a duplicate: rank n - 1, so the uplink must
+        # keep asking instead of stalling its leaves.
+        segment = make_segment()
+        root = make_root(segment)
+        relay = RelayNode(PROFILE, rng=np.random.default_rng(1))
+        uplink = RelayUplink(root, relay, 0)
+        n = PARAMS.num_blocks
+        encoder = Encoder(segment, np.random.default_rng(5))
+        coefficients, payloads = encoder.encode_batch(n - 1)
+        rows = list(range(n - 1)) + [0]
+        relay.ingest(
+            BlockBatch(
+                coefficients=coefficients[rows],
+                payloads=payloads[rows],
+                segment_id=segment.segment_id,
+            )
+        )
+        assert relay.held(segment.segment_id) == n
+        uplink.pre_round(segment.segment_id)
+        assert root.pending_blocks == 1
+        assert relay.rank(segment.segment_id) == n - 1
+        frames = root.serve_round(format="frames")
+        uplink.intake(segment.segment_id, frames.get(0))
+        assert relay.rank(segment.segment_id) == n
+        uplink.pre_round(segment.segment_id)
         assert root.pending_blocks == 0
 
     def test_damaged_frames_dropped_not_ingested(self):
@@ -154,7 +183,7 @@ class TestRelayUplink:
             fault_plan=FaultPlan(seed=3, corrupt_rate=1.0),
         )
         uplink.pre_round(segment.segment_id)
-        frames = root.serve_round(format="frames", version=2)
+        frames = root.serve_round(format="frames")
         served = len(bytes(frames[0])) // uplink._frame_bytes
         kept = uplink.intake(segment.segment_id, frames.get(0))
         # Every frame is accounted: damaged ones dropped and counted,

@@ -87,6 +87,18 @@ class TestRecoder:
         assert decoder.rank <= 3
         assert innovative == decoder.rank
 
+    def test_rank_ignores_dependent_blocks(self):
+        segment = make_segment(4, 8, 2)
+        blocks = Encoder(segment, np.random.default_rng(3)).encode_blocks(4)
+        relay = Recoder(segment.params)
+        assert relay.rank == 0
+        for block in (blocks[0], blocks[1], blocks[0]):
+            relay.add(block)
+        assert (relay.buffered, relay.rank) == (3, 2)
+        relay.add(blocks[2])
+        relay.add(blocks[3])
+        assert (relay.buffered, relay.rank) == (5, 4)
+
 
 class TestBatchIntake:
     def test_add_batch_matches_per_block_adds(self):

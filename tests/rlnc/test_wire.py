@@ -90,7 +90,7 @@ class TestCorruptionDetection:
     def test_every_payload_byte_is_protected(self):
         block = make_block(4, 8)
         clean = encode_frame(block)
-        for position in range(len(clean) - 4):  # skip the CRC itself
+        for position in range(len(clean) - 8):  # skip the digest itself
             frame = bytearray(clean)
             frame[position] ^= 0xFF
             with pytest.raises(DecodingError):
@@ -107,12 +107,10 @@ class TestCorruptionDetection:
         # Re-framing the corrupted block produces a *valid* frame (the
         # sender would checksum it); the gap closes when the checksum is
         # computed before the channel:
-        body_end = len(frame) - 4
         wire = bytearray(frame)
         wire[20] ^= 0x01  # corruption on the wire, after checksumming
         with pytest.raises(DecodingError):
             decode_frame(bytes(wire))
-        assert body_end > 0  # silence unused warnings
 
     def test_unchecksummed_frame_accepts_corruption(self):
         frame = bytearray(encode_frame(make_block(), checksum=False))
@@ -184,19 +182,17 @@ class TestBatchedWire:
     def test_pack_blocks_bytes_equal_concatenated_frames(
         self, m, n, k, seed, checksum
     ):
-        """New writer, old format: the batch buffer is byte-identical to
-        concatenating encode_frame over the rows, so old readers parse
-        new writers' individual records."""
+        """The batch buffer is byte-identical to encode_stream over the
+        rows, so the per-record reader parses the batch writer's
+        records."""
         from repro.rlnc import pack_blocks, stream_size
 
         batch = make_batch(m, n, k, seed)
         packed = pack_blocks(batch, checksum=checksum)
-        legacy = b"".join(
-            encode_frame(block, checksum=checksum) for block in batch.rows()
-        )
+        per_frame = encode_stream(batch.rows(), checksum=checksum)
         assert len(packed) == stream_size(m, n, k, checksum=checksum)
-        assert bytes(packed) == legacy
-        # Old reader: per-record parse of the new writer's buffer.
+        assert bytes(packed) == per_frame
+        # Per-record parse of the batch writer's buffer.
         parsed = decode_stream(bytes(packed))
         assert len(parsed) == m
         for row, block in enumerate(parsed):
@@ -223,7 +219,7 @@ class TestBatchedWire:
         assert np.array_equal(recovered.payloads, batch.payloads)
 
     def test_unpack_accepts_old_writer_output(self):
-        """Old writer, new reader: encode_stream output parses as a batch."""
+        """The per-frame writer's encode_stream output parses as a batch."""
         from repro.rlnc import unpack_blocks
 
         blocks = [make_block(8, 16, seed=i, segment_id=5) for i in range(4)]

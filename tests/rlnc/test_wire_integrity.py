@@ -1,12 +1,15 @@
-"""Tests for the version-2 integrity wire format and lenient intake.
+"""Tests for the integrity wire format and lenient intake.
 
 Covers the robustness contract: frames carry digests that detect every
 single-bit flip; strict unpack raises :class:`IntegrityError`; lenient
 unpack drops and counts damage in :class:`WireStats` without ever
 accepting a corrupt frame; malformed inputs (truncation, lying length
-fields) raise :class:`WireError` without over-reading; and both wire
-versions interoperate with the PR 2 reader/writer.
+fields) raise :class:`WireError` without over-reading; and frames of
+the retired version 1 are refused like any other unsupported version.
 """
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.errors import DecodingError, IntegrityError, WireError
 from repro.rlnc import (
-    VERSION2,
     BlockBatch,
     CodedBlock,
     WireStats,
@@ -40,6 +42,21 @@ def make_block(n=8, k=16, seed=0, segment_id=3):
     )
 
 
+def version1_frame(block):
+    """A frame in the retired version-1 layout: 18-byte header, CRC32."""
+    header = struct.pack(
+        ">4sBBIII",
+        b"RLNC",
+        1,
+        1,
+        block.segment_id,
+        block.num_blocks,
+        block.block_size,
+    )
+    body = header + block.coefficients.tobytes() + block.payload.tobytes()
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
 def make_batch(m, n, k, seed=0, segment_id=3):
     rng = np.random.default_rng(seed)
     return BlockBatch(
@@ -59,12 +76,8 @@ class TestVersion2RoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_frame_round_trip(self, n, k, seed, checksum):
         block = make_block(n, k, seed)
-        frame = encode_frame(
-            block, checksum=checksum, version=VERSION2, sequence=77
-        )
-        assert len(frame) == frame_size(
-            n, k, checksum=checksum, version=VERSION2
-        )
+        frame = encode_frame(block, checksum=checksum, sequence=77)
+        assert len(frame) == frame_size(n, k, checksum=checksum)
         decoded, size, sequence = unpack_frame(frame)
         assert size == len(frame)
         assert sequence == 77
@@ -73,9 +86,7 @@ class TestVersion2RoundTrip:
 
     def test_batch_round_trip_with_sequences(self):
         batch = make_batch(5, 8, 16)
-        data = bytes(
-            pack_blocks(batch, version=VERSION2, first_sequence=100)
-        )
+        data = bytes(pack_blocks(batch, first_sequence=100))
         recovered = unpack_blocks(data)
         assert np.array_equal(recovered.payloads, batch.payloads)
         offset = 0
@@ -86,28 +97,60 @@ class TestVersion2RoundTrip:
 
     def test_v2_batch_bytes_equal_concatenated_v2_frames(self):
         batch = make_batch(4, 6, 10, seed=2)
-        packed = bytes(pack_blocks(batch, version=VERSION2, first_sequence=9))
+        packed = bytes(pack_blocks(batch, first_sequence=9))
         legacy = b"".join(
-            encode_frame(block, version=VERSION2, sequence=9 + row)
+            encode_frame(block, sequence=9 + row)
             for row, block in enumerate(batch.rows())
         )
         assert packed == legacy
 
-    def test_old_reader_still_parses_default_frames(self):
-        """The default (v1) output is byte-identical to the PR 2 format."""
-        block = make_block()
-        assert encode_frame(block)[4] == 1  # version byte unchanged
-        assert decode_frame(encode_frame(block)) is not None
-
     def test_mixed_version_stream_parses(self):
+        """Leniently: the version-1 frame is dropped as malformed."""
         blocks = [make_block(seed=i, segment_id=i) for i in range(3)]
         stream = (
             encode_frame(blocks[0])
-            + encode_frame(blocks[1], version=VERSION2)
+            + version1_frame(blocks[1])
             + encode_frame(blocks[2])
         )
-        decoded = decode_stream(stream)
-        assert [b.segment_id for b in decoded] == [0, 1, 2]
+        with pytest.raises(WireError, match="unsupported frame version"):
+            decode_stream(stream)
+        stats = WireStats()
+        decoded = decode_stream(stream, strict=False, stats=stats)
+        assert [b.segment_id for b in decoded] == [0, 2]
+        assert stats.malformed == 1
+        assert stats.frames_ok == 2
+
+    def test_stream_size_counts_header_and_trailer(self):
+        assert stream_size(3, 8, 16) == 3 * frame_size(8, 16)
+        assert frame_size(8, 16) == 22 + 8 + 16 + 8
+        assert frame_size(8, 16, checksum=False) == 22 + 8 + 16
+
+
+class TestVersion1Refused:
+    """The retired version-1 frame is an unsupported version."""
+
+    def test_strict_unpack_raises_wire_error(self):
+        frame = version1_frame(make_block())
+        with pytest.raises(WireError, match="unsupported frame version 1"):
+            unpack_frame(frame)
+        with pytest.raises(WireError, match="unsupported frame version 1"):
+            unpack_blocks(frame)
+        with pytest.raises(WireError, match="unsupported frame version 1"):
+            decode_frame(frame)
+
+    def test_writers_emit_version_2(self):
+        block = make_block()
+        assert encode_frame(block)[4] == 2
+        assert bytes(pack_blocks(make_batch(2, 4, 8)))[4] == 2
+
+    def test_lenient_batch_counts_a_version1_row_as_malformed(self):
+        batch = make_batch(3, 8, 16, seed=4)
+        data = bytearray(pack_blocks(batch))
+        data[frame_size(8, 16) + 4] = 1  # row 1 claims version 1
+        stats = WireStats()
+        recovered = unpack_blocks(bytes(data), strict=False, stats=stats)
+        assert stats.malformed == 1
+        assert np.array_equal(recovered.payloads, batch.payloads[[0, 2]])
 
 
 class TestDigest:
@@ -130,7 +173,7 @@ class TestDigest:
         the reason the reliable client never disables checksums.
         """
         block = make_block(4, 8, seed=5)
-        clean = encode_frame(block, version=VERSION2)
+        clean = encode_frame(block)
         header_size = 22
         for position in range(len(clean)):
             for bit in range(8):
@@ -145,7 +188,7 @@ class TestDigest:
                     unpack_frame(bytes(frame))
 
     def test_strict_raises_lenient_drops_and_counts(self):
-        frame = bytearray(encode_frame(make_block(), version=VERSION2))
+        frame = bytearray(encode_frame(make_block()))
         frame[30] ^= 0x10
         with pytest.raises(IntegrityError, match="checksum"):
             unpack_frame(bytes(frame))
@@ -158,8 +201,8 @@ class TestDigest:
 
     def test_lenient_batch_drops_only_damaged_rows(self):
         batch = make_batch(6, 8, 16, seed=3)
-        data = bytearray(pack_blocks(batch, version=VERSION2))
-        size_one = frame_size(8, 16, version=VERSION2)
+        data = bytearray(pack_blocks(batch))
+        size_one = frame_size(8, 16)
         data[2 * size_one + 30] ^= 0x40  # damage frame 2 only
         stats = WireStats()
         recovered = unpack_blocks(bytes(data), strict=False, stats=stats)
@@ -170,8 +213,8 @@ class TestDigest:
 
     def test_lenient_batch_with_all_rows_damaged_is_empty(self):
         batch = make_batch(3, 4, 8)
-        data = bytearray(pack_blocks(batch, version=VERSION2))
-        size_one = frame_size(4, 8, version=VERSION2)
+        data = bytearray(pack_blocks(batch))
+        size_one = frame_size(4, 8)
         for row in range(3):
             data[row * size_one + 26] ^= 0x01
         stats = WireStats()
@@ -215,7 +258,7 @@ class TestMalformedInputs:
         """Any single flipped bit of a valid v2 frame either raises a
         WireError subclass or (flips confined to ignored flag bits)
         parses — nothing else."""
-        frame = bytearray(encode_frame(make_block(seed=seed), version=VERSION2))
+        frame = bytearray(encode_frame(make_block(seed=seed)))
         position = data.draw(st.integers(0, len(frame) - 1))
         bit = data.draw(st.integers(0, 7))
         frame[position] ^= 1 << bit
@@ -227,7 +270,7 @@ class TestMalformedInputs:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_truncations_raise_wire_error(self, data):
-        frame = encode_frame(make_block(), version=VERSION2)
+        frame = encode_frame(make_block())
         cut = data.draw(st.integers(0, len(frame) - 1))
         with pytest.raises(WireError):
             unpack_frame(frame[:cut])
@@ -235,11 +278,11 @@ class TestMalformedInputs:
     def test_lying_length_fields_never_over_read(self):
         """A header claiming a huge payload must be rejected from the
         bounds check alone."""
-        frame = bytearray(encode_frame(make_block(8, 16), version=VERSION2))
+        frame = bytearray(encode_frame(make_block(8, 16)))
         frame[10:14] = (2**31 - 1).to_bytes(4, "big")  # n field
         with pytest.raises(WireError, match="exceed"):
             unpack_frame(bytes(frame))
-        frame = bytearray(encode_frame(make_block(8, 16), version=VERSION2))
+        frame = bytearray(encode_frame(make_block(8, 16)))
         frame[14:18] = (2**31 - 1).to_bytes(4, "big")  # k field
         with pytest.raises(WireError, match="exceed"):
             unpack_frame(bytes(frame))
@@ -257,10 +300,10 @@ class TestStreamResynchronization:
     def test_lenient_stream_resyncs_after_junk(self):
         blocks = [make_block(seed=i, segment_id=i) for i in range(3)]
         stream = (
-            encode_frame(blocks[0], version=VERSION2)
+            encode_frame(blocks[0])
             + b"\xde\xad\xbe\xef\x00junkjunk"
-            + encode_frame(blocks[1], version=VERSION2)
-            + encode_frame(blocks[2], version=VERSION2)
+            + encode_frame(blocks[1])
+            + encode_frame(blocks[2])
         )
         stats = WireStats()
         decoded = decode_stream(stream, strict=False, stats=stats)
@@ -274,55 +317,10 @@ class TestStreamResynchronization:
 
     def test_lenient_stream_drops_corrupt_frame_and_continues(self):
         good = make_block(seed=1, segment_id=1)
-        bad = bytearray(encode_frame(make_block(seed=2), version=VERSION2))
+        bad = bytearray(encode_frame(make_block(seed=2)))
         bad[28] ^= 0x08
-        stream = bytes(bad) + encode_frame(good, version=VERSION2)
+        stream = bytes(bad) + encode_frame(good)
         stats = WireStats()
         decoded = decode_stream(stream, strict=False, stats=stats)
         assert [b.segment_id for b in decoded] == [1]
         assert stats.checksum_failures == 1
-
-
-class TestWireCompatibility:
-    """Property test for the PR 2 <-> PR 3 wire boundary, both ways."""
-
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=24),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_old_writer_new_lenient_reader(self, m, n, k, seed):
-        """PR 2 writer bytes (v1) parse under the new lenient reader with
-        nothing dropped."""
-        batch = make_batch(m, n, k, seed)
-        data = bytes(pack_blocks(batch))  # default v1 output
-        stats = WireStats()
-        recovered = unpack_blocks(data, strict=False, stats=stats)
-        assert stats.frames_dropped == 0
-        assert np.array_equal(recovered.coefficients, batch.coefficients)
-        assert np.array_equal(recovered.payloads, batch.payloads)
-
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=24),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_new_default_writer_old_strict_reader(self, m, n, k, seed):
-        """The new writer's *default* output is byte-for-byte the PR 2
-        format, so the old strict per-record reader accepts it."""
-        batch = make_batch(m, n, k, seed)
-        data = bytes(pack_blocks(batch))
-        legacy = b"".join(encode_frame(block) for block in batch.rows())
-        assert data == legacy
-        parsed = decode_stream(data)  # the PR 2 reader path
-        assert len(parsed) == m
-
-    def test_stream_size_accounts_for_version(self):
-        assert stream_size(3, 8, 16, version=VERSION2) == 3 * frame_size(
-            8, 16, version=VERSION2
-        )
-        assert frame_size(8, 16, version=VERSION2) == frame_size(8, 16) + 8

@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.gpu import GTX280
 from repro.rlnc import CodingParams, Segment
-from repro.rlnc.wire import VERSION
 from repro.streaming import (
     ClientSession,
     MediaProfile,
@@ -51,12 +50,6 @@ class TestCleanFetch:
         assert client.stats.rounds == 1
         assert client.stats.nacks == 0
         assert client.stats.wire.frames_dropped == 0
-
-    def test_v1_wire_also_works(self):
-        server, segment = published_server()
-        client = ClientSession(server, peer_id=1, wire_version=VERSION)
-        recovered = client.fetch_segment(0)
-        assert np.array_equal(recovered.blocks, segment.blocks)
 
     def test_sequential_segments_reuse_session(self):
         server = make_server()
@@ -184,7 +177,7 @@ class TestRetryLaterHandling:
         recovered = None
         while not client.complete:
             client.pre_round()
-            frames = server.serve_round(format="frames", version=client.wire_version)
+            frames = server.serve_round(format="frames")
             client.intake(frames.get(1))
         recovered = client.finish_segment()
         assert np.array_equal(recovered.blocks, segment.blocks)
@@ -220,10 +213,10 @@ class TestMultiSessionDrive:
     def test_mixed_wire_settings_rejected(self):
         server, _ = published_server()
         a = ClientSession(server, peer_id=1)
-        b = ClientSession(server, peer_id=2, wire_version=VERSION)
+        b = ClientSession(server, peer_id=2, checksum=False)
         a.begin_segment(0)
         b.begin_segment(0)
-        with pytest.raises(ConfigurationError, match="wire_version"):
+        with pytest.raises(ConfigurationError, match="checksum"):
             drive_sessions(server, [a, b])
 
     def test_empty_session_list(self):

@@ -346,7 +346,7 @@ class TestEvictionReleasesCache:
         )
         client.begin_segment(0)
         client.pre_round()
-        frames = server.serve_round(format="frames", version=client.wire_version)
+        frames = server.serve_round(format="frames")
         batch_ref = weakref.ref(server._segments[0])
         client.intake(frames.get(7))
         assert not client.complete
@@ -473,15 +473,15 @@ class TestDisconnect:
 
 class TestWireVersions:
     def test_v2_frames_carry_per_session_sequences(self):
-        from repro.rlnc import VERSION2, unpack_frame
+        from repro.rlnc import unpack_frame
 
         server = make_server()
         server.publish_segment(make_segment(0))
         server.connect(1)
         server.request_blocks(1, 0, 2)
-        first = bytes(server.serve_round(format="frames", version=VERSION2)[1])
+        first = bytes(server.serve_round(format="frames")[1])
         server.request_blocks(1, 0, 2)
-        second = bytes(server.serve_round(format="frames", version=VERSION2)[1])
+        second = bytes(server.serve_round(format="frames")[1])
 
         sequences = []
         for data in (first, second):
