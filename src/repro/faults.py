@@ -267,6 +267,26 @@ class FaultPlan:
         items = [bytes(frame) for frame in frames]
         return self._schedule(items, corrupt)
 
+    def apply_wire(self, data, frame_bytes: int) -> bytes:
+        """Inject faults into a buffer of back-to-back frames.
+
+        The receive-path hook: ``data`` is cut into whole frames of
+        ``frame_bytes``, :meth:`apply_frames` runs over them, and the
+        survivors are joined back into one buffer, with any torn tail
+        bytes kept at its end unchanged, so a faulty delivery takes the
+        same batched unpack as a clean one.  A buffer without a whole
+        frame passes through and draws nothing from the plan.
+        """
+        view = memoryview(data)
+        count = len(view) // frame_bytes
+        if count == 0:
+            return bytes(view)
+        frames = self.apply_frames(
+            view[i * frame_bytes : (i + 1) * frame_bytes] for i in range(count)
+        )
+        frames.append(bytes(view[count * frame_bytes :]))
+        return b"".join(frames)
+
     def apply_blocks(self, blocks: Iterable[CodedBlock]) -> list[CodedBlock]:
         """Inject faults into a coded-block stream (channel-level view).
 

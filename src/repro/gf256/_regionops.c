@@ -25,14 +25,23 @@
 
 static uint8_t TLO[256][16];
 static uint8_t THI[256][16];
+static uint8_t INV[256];
 
-/* Build the per-coefficient nibble tables from the dense 256x256
- * product table handed over by the Python side (row-major, c*256+x). */
+/* Build the per-coefficient nibble tables and the inverse table from
+ * the dense 256x256 product table handed over by the Python side
+ * (row-major, c*256+x). */
 void gf256_init(const uint8_t *mul_table) {
     for (int c = 0; c < 256; c++) {
         for (int v = 0; v < 16; v++) {
             TLO[c][v] = mul_table[c * 256 + v];
             THI[c][v] = mul_table[c * 256 + (v << 4)];
+        }
+        INV[c] = 0;
+        for (int x = 1; c && x < 256; x++) {
+            if (mul_table[c * 256 + x] == 1) {
+                INV[c] = (uint8_t)x;
+                break;
+            }
         }
     }
 }
@@ -163,4 +172,66 @@ void gf256_fold_rows(uint8_t *dst, const uint8_t *rows, size_t row_stride,
         uint8_t c = factors[i];
         if (c) mul_add(dst, rows + i * row_stride, k, TLO[c], THI[c]);
     }
+}
+
+/* row *= c over len bytes (normalization; a handful of bytes per row). */
+static void scale(uint8_t *row, size_t len, uint8_t c) {
+    const uint8_t *lo = TLO[c], *hi = THI[c];
+    for (size_t t = 0; t < len; t++) {
+        uint8_t x = row[t];
+        row[t] = lo[x & 0x0F] ^ hi[x >> 4];
+    }
+}
+
+/* Progressive Gauss-Jordan intake of one batch, in one call.
+ *
+ * `incoming` holds m rows of width 2n, [coefficients | transform],
+ * already forward-reduced against the `held` live rows of `work` (an
+ * (n, 2n) matrix kept in RREF).  Each row in turn: a row whose
+ * coefficient side is zero is dependent and skipped; otherwise its
+ * first nonzero column becomes the pivot, transform column n + held is
+ * set, the row is normalized by the inverse of its lead, the pivot is
+ * eliminated from the later batch rows and from work[:held], and the
+ * row is stored as work[held] with its pivot column in
+ * pivot_cols[held] and its batch index in accepted[].
+ *
+ * Row bytes before the pivot are zero and transform bytes past
+ * n + held are zero, so every region pass covers only
+ * [pivot, n + held + 1).
+ *
+ * Returns the number of rows accepted, or -1 (work possibly partly
+ * updated) when held > n or an innovative row finds work full --
+ * never writing past work[n-1]. */
+long gf256_eliminate_batch(uint8_t *incoming, size_t m, uint8_t *work,
+                           size_t n, size_t held, int64_t *pivot_cols,
+                           int64_t *accepted) {
+    size_t width = 2 * n;
+    long count = 0;
+    if (held > n) return -1;
+    for (size_t idx = 0; idx < m; idx++) {
+        uint8_t *row = incoming + idx * width;
+        size_t pivot = 0;
+        while (pivot < n && row[pivot] == 0) pivot++;
+        if (pivot == n) continue;
+        if (held == n) return -1;
+        size_t len = n + held + 1 - pivot;
+        uint8_t *span = row + pivot;
+        row[n + held] = 1;
+        if (row[pivot] != 1) scale(span, len, INV[row[pivot]]);
+        for (size_t r = idx + 1; r < m; r++) {
+            uint8_t *dst = incoming + r * width + pivot;
+            uint8_t c = *dst;
+            if (c) mul_add(dst, span, len, TLO[c], THI[c]);
+        }
+        for (size_t r = 0; r < held; r++) {
+            uint8_t *dst = work + r * width + pivot;
+            uint8_t c = *dst;
+            if (c) mul_add(dst, span, len, TLO[c], THI[c]);
+        }
+        memcpy(work + held * width, row, width);
+        pivot_cols[held] = (int64_t)pivot;
+        accepted[count++] = (int64_t)idx;
+        held++;
+    }
+    return count;
 }

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.errors import FieldError
 from repro.gf256 import regionops
-from repro.gf256.tables import EXP, LOG, MUL_TABLE
+from repro.gf256.tables import EXP, INV, LOG, MUL_TABLE
 
 #: Environment variable consulted for the process-wide default backend.
 BACKEND_ENV_VAR = "REPRO_GF_BACKEND"
@@ -570,6 +570,67 @@ class Gf256Engine:
         live = np.nonzero(factors)[0]
         if live.size:
             dst ^= self.scaled_rows_xor(rows[live], factors[live])
+
+    def eliminate_batch(
+        self,
+        incoming: np.ndarray,
+        work: np.ndarray,
+        held: int,
+        pivot_cols: np.ndarray,
+    ) -> np.ndarray:
+        """Absorb a forward-reduced batch into an RREF matrix, in place.
+
+        The progressive decoder's within-batch Gauss–Jordan loop.
+        ``incoming`` is (m, 2n) ``[coefficients | transform]`` already
+        reduced against the ``held`` live rows of ``work`` (n, 2n).
+        Each row in turn is skipped when its coefficient side is zero;
+        otherwise its first nonzero column becomes the pivot, transform
+        column ``n + held`` is set, the row is normalized, the pivot is
+        eliminated from the later batch rows and from ``work[:held]``,
+        and the row is stored as ``work[held]`` with its pivot in
+        ``pivot_cols[held]``.  The compiled kernel runs the whole loop
+        in one call; without it the loop runs here over the region ops.
+
+        Returns:
+            The accepted batch indices (int64, ascending).
+
+        Raises:
+            ValueError: on a malformed operand, or when the batch holds
+                more innovative rows than ``work`` has free slots.
+        """
+        if self._resolve_region_backend() == "wide" and (
+            regionops.kernel_available()
+        ):
+            return regionops.eliminate_batch(incoming, work, held, pivot_cols)
+        regionops.check_eliminate_operands(incoming, work, held, pivot_cols)
+        n = work.shape[0]
+        m = incoming.shape[0]
+        accepted = []
+        for idx in range(m):
+            row = incoming[idx]
+            support = np.flatnonzero(row[:n])
+            if support.size == 0:
+                continue
+            if held == n:
+                raise ValueError("batch rank exceeds the free rows of work")
+            pivot_col = int(support[0])
+            row[n + held] = 1
+            lead = int(row[pivot_col])
+            if lead != 1:
+                row = self.mul_scalar(row, int(INV[lead]))
+            if idx + 1 < m:
+                column = incoming[idx + 1 :, pivot_col].copy()
+                if column.any():
+                    self.axpy_rows(incoming[idx + 1 :], column, row)
+            if held:
+                column = work[:held, pivot_col].copy()
+                if column.any():
+                    self.axpy_rows(work[:held], column, row)
+            work[held] = row
+            pivot_cols[held] = pivot_col
+            accepted.append(idx)
+            held += 1
+        return np.array(accepted, dtype=np.int64)
 
     # -- row-reduction primitives (the decoder's kernels) ------------------
 

@@ -14,6 +14,19 @@ lifecycle:
   unloadable object) marks the kernel unavailable and the engine falls
   back to the pure-numpy wide path — never an import error.
 
+Entry points (called through :class:`~repro.gf256.engine.Gf256Engine`,
+which validates shapes; :func:`eliminate_batch` also checks dtype,
+shape and C-contiguity itself before any address reaches C):
+
+* :func:`mul_add_region` — ``dst ^= c * src`` over one row;
+* :func:`matmul_into` — ``out = a @ b`` with strided output rows;
+* :func:`axpy_rows` — ``dst[r] ^= factors[r] * src`` (back-elimination);
+* :func:`fold_rows` — ``dst ^= XOR_i factors[i] * rows[i]`` (forward
+  reduction);
+* :func:`eliminate_batch` — the progressive decoder's whole
+  within-batch Gauss–Jordan loop (pivot search, normalization,
+  elimination from later batch rows and stored rows) in one call.
+
 Environment knobs:
 
 * ``REPRO_WIDE_KERNEL=0`` disables the compiled kernel outright (the
@@ -46,7 +59,9 @@ _lib: ctypes.CDLL | None = None
 _load_attempted = False
 _load_error: str | None = None
 
-_U8P = ctypes.POINTER(ctypes.c_uint8)
+# Buffers cross into C as plain addresses: ``ndarray.ctypes.data`` is
+# about half the cost of building a typed ctypes pointer per call.
+_PTR = ctypes.c_void_p
 
 
 def _cache_dir() -> Path:
@@ -76,26 +91,36 @@ def _compile(source: Path, target: Path) -> None:
             os.unlink(temp_name)
 
 
-def _pointer(array: np.ndarray):
-    return array.ctypes.data_as(_U8P)
+def _pointer(array: np.ndarray) -> int:
+    return array.ctypes.data
 
 
 def _declare(lib: ctypes.CDLL) -> None:
     size_t = ctypes.c_size_t
-    lib.gf256_init.argtypes = [_U8P]
+    lib.gf256_init.argtypes = [_PTR]
     lib.gf256_simd_level.restype = ctypes.c_int
-    lib.gf256_mul_add_region.argtypes = [_U8P, _U8P, size_t, ctypes.c_uint8]
+    lib.gf256_mul_add_region.argtypes = [_PTR, _PTR, size_t, ctypes.c_uint8]
     lib.gf256_matmul.argtypes = [
-        _U8P,
-        _U8P,
-        _U8P,
+        _PTR,
+        _PTR,
+        _PTR,
         size_t,
         size_t,
         size_t,
         size_t,
     ]
-    lib.gf256_axpy_rows.argtypes = [_U8P, size_t, _U8P, _U8P, size_t, size_t]
-    lib.gf256_fold_rows.argtypes = [_U8P, _U8P, size_t, _U8P, size_t, size_t]
+    lib.gf256_axpy_rows.argtypes = [_PTR, size_t, _PTR, _PTR, size_t, size_t]
+    lib.gf256_fold_rows.argtypes = [_PTR, _PTR, size_t, _PTR, size_t, size_t]
+    lib.gf256_eliminate_batch.argtypes = [
+        _PTR,
+        size_t,
+        _PTR,
+        size_t,
+        size_t,
+        _PTR,
+        _PTR,
+    ]
+    lib.gf256_eliminate_batch.restype = ctypes.c_long
 
 
 def _load() -> ctypes.CDLL | None:
@@ -196,6 +221,72 @@ def fold_rows(dst: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
         rows.shape[0],
         rows.shape[1],
     )
+
+
+def check_eliminate_operands(
+    incoming: np.ndarray, work: np.ndarray, held: int, pivot_cols: np.ndarray
+) -> None:
+    """Validate :func:`eliminate_batch` operands (raises ``ValueError``).
+
+    ``work`` is a writable C-contiguous (n, 2n) uint8 matrix,
+    ``incoming`` a writable C-contiguous (m, 2n) uint8 matrix,
+    ``pivot_cols`` a writable C-contiguous (n,) int64 vector and
+    ``0 <= held <= n``.  Shared by the kernel and the engine's numpy
+    fallback so both refuse exactly the same inputs.
+    """
+    for name, array, dtype, ndim in (
+        ("incoming", incoming, np.uint8, 2),
+        ("work", work, np.uint8, 2),
+        ("pivot_cols", pivot_cols, np.int64, 1),
+    ):
+        if not isinstance(array, np.ndarray) or array.dtype != dtype:
+            raise ValueError(f"{name} must be a {np.dtype(dtype)} array")
+        if array.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-D")
+        if not array.flags.c_contiguous or not array.flags.writeable:
+            raise ValueError(f"{name} must be C-contiguous and writable")
+    n = work.shape[0]
+    if work.shape[1] != 2 * n or incoming.shape[1] != 2 * n:
+        raise ValueError(
+            f"work {work.shape} and incoming {incoming.shape} must be "
+            f"(n, 2n) and (m, 2n)"
+        )
+    if pivot_cols.shape[0] != n:
+        raise ValueError(f"pivot_cols must hold {n} entries")
+    if not 0 <= held <= n:
+        raise ValueError(f"held={held} outside [0, {n}]")
+
+
+def eliminate_batch(
+    incoming: np.ndarray, work: np.ndarray, held: int, pivot_cols: np.ndarray
+) -> np.ndarray:
+    """Gauss–Jordan intake of a forward-reduced batch in one C call.
+
+    See ``gf256_eliminate_batch`` in ``_regionops.c``.  Returns the
+    accepted batch indices (int64); ``work[held:held + count]`` and
+    ``pivot_cols[held:held + count]`` receive the new rows.
+
+    Raises:
+        ValueError: on a malformed operand (checked before any pointer
+            reaches C) or when the batch holds more innovative rows than
+            ``work`` has free slots.
+    """
+    check_eliminate_operands(incoming, work, held, pivot_cols)
+    lib = _load()
+    m = incoming.shape[0]
+    accepted = np.empty(m, dtype=np.int64)
+    count = lib.gf256_eliminate_batch(
+        _pointer(incoming),
+        m,
+        _pointer(work),
+        work.shape[0],
+        held,
+        _pointer(pivot_cols),
+        _pointer(accepted),
+    )
+    if count < 0:
+        raise ValueError("batch rank exceeds the free rows of work")
+    return accepted[:count]
 
 
 def _reset_for_tests() -> None:

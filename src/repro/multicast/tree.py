@@ -33,8 +33,12 @@ from repro.faults import FaultPlan
 from repro.multicast.relay import RelayNode, RelayStats
 from repro.obs.trace import trace
 from repro.p2p.topology import distribution_tree, multicast_capacity
-from repro.rlnc.block import BlockBatch, Segment
-from repro.rlnc.wire import WireStats, frame_size, unpack_frame
+from repro.rlnc.block import Segment
+from repro.rlnc.wire import ExpectedHeader, WireStats, frame_size, unpack_blocks
+
+# The per-frame parser stays importable here for code that wraps the
+# receive path's names; intake itself only calls unpack_blocks.
+from repro.rlnc.wire import unpack_frame  # noqa: F401
 from repro.streaming.client import ClientSession
 from repro.streaming.session import MediaProfile
 
@@ -92,38 +96,25 @@ class RelayUplink:
         self.parent.request_blocks(self.peer_id, segment_id, missing - pending)
 
     def intake(self, segment_id: int, wire_bytes) -> int:
-        """Unpack one round's frames into the relay; returns blocks kept."""
+        """Unpack one round's frames into the relay; returns blocks kept.
+
+        The same receive path as a leaf session: the fault plan (if
+        any), then one lenient batched unpack against the header this
+        uplink expects for ``segment_id``.
+        """
         if wire_bytes is None or len(wire_bytes) == 0:
             return 0
-        data = bytes(wire_bytes)
-        count, tail = divmod(len(data), self._frame_bytes)
-        if tail:
-            self.wire.record_malformed()
-        frames = [
-            data[i * self._frame_bytes : (i + 1) * self._frame_bytes]
-            for i in range(count)
-        ]
-        if self.fault_plan is not None and frames:
-            frames = self.fault_plan.apply_frames(frames)
-        coefficients = []
-        payloads = []
-        for frame in frames:
-            try:
-                block, _, _ = unpack_frame(frame, strict=False, stats=self.wire)
-            except Exception:
-                self.wire.record_malformed()
-                continue
-            if block is None or block.segment_id != segment_id:
-                continue
-            coefficients.append(block.coefficients)
-            payloads.append(block.payload)
-        if not coefficients:
-            return 0
-        batch = BlockBatch(
-            coefficients=np.stack(coefficients),
-            payloads=np.stack(payloads),
-            segment_id=segment_id,
+        if self.fault_plan is not None:
+            wire_bytes = self.fault_plan.apply_wire(wire_bytes, self._frame_bytes)
+        params = self.relay.profile.params
+        expect = ExpectedHeader(
+            segment_id, params.num_blocks, params.block_size, self.checksum
         )
+        batch = unpack_blocks(
+            wire_bytes, strict=False, stats=self.wire, expect=expect
+        )
+        if not len(batch):
+            return 0
         return self.relay.ingest(batch)
 
 

@@ -18,10 +18,11 @@ The progressive decoder's elimination is vectorized through the GF(2^8)
 engine and splits the work the way the paper's TB-1 preprocessing splits
 encoding: the *control plane* — the coefficient matrix ``C`` and the row
 transform ``M`` with ``rows = M @ raw_payloads`` — is kept in exact RREF
-after every block, using the engine's fused region operations
-(``fold_rows`` for forward reduction, ``axpy_rows`` for
-back-elimination) over all live pivots instead of one Python-loop trip
-per pivot, so no intermediate scaled-row matrix is ever materialized;
+after every batch (a single block is a batch of one): one engine matmul
+forward-reduces the whole batch against every live pivot, and one
+``ENGINE.eliminate_batch`` call runs the within-batch Gauss–Jordan loop
+(a single compiled call when the region-op kernel is loaded), so no
+per-row or per-pivot Python loop runs on the fast path;
 the *data plane* (the k-byte payload side) is stored raw and
 materialized on demand with a single dense engine matmul accumulated
 directly into the aggregate view.  Because the RREF of a row space (with this
@@ -40,7 +41,6 @@ from repro.obs import obs_counter, obs_gauge
 from repro.obs.trace import trace
 from repro.gf256 import independent_row_indices, inverse, matmul
 from repro.gf256.engine import ENGINE
-from repro.gf256.tables import INV
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams, Segment
 
 
@@ -141,7 +141,8 @@ class ProgressiveDecoder:
 
         ``source`` tags the accepted row (e.g. with a peer id) so later
         quarantine can attribute and roll back everything that source
-        contributed.
+        contributed.  The block runs through the same elimination as
+        :meth:`consume_batch`, as a batch of one.
 
         Raises:
             DecodingError: if the block's geometry does not match, or the
@@ -156,55 +157,10 @@ class ProgressiveDecoder:
         if self.is_complete:
             raise DecodingError("decoder already holds a full-rank system")
         self._received += 1
-
-        held = self.rank
-        incoming = np.zeros(2 * n, dtype=np.uint8)
-        incoming[:n] = block.coefficients
-        # Transform column for the candidate raw payload; existing rows
-        # are all zero there, so forward reduction leaves it attributable.
-        incoming[n + held] = 1
-
-        # Forward-reduce against every live pivot in one fused region
-        # pass: the stored rows are in RREF, so the factors read at the
-        # pivot columns are mutually independent and can be captured
-        # before the in-place fold mutates the incoming row.  Zero
-        # factors are skipped inside the engine (ENGINE.scaled_rows_xor
-        # is the materializing fallback behind this region op).
-        if held:
-            pivots = self._pivot_cols[:held]
-            factors = incoming[pivots]
-            if factors.any():
-                ENGINE.fold_rows(incoming, self._work[:held], factors)
-
-        support = np.nonzero(incoming[:n])[0]
-        if support.size == 0:
-            # Reduced to a zero coefficient row: linearly dependent
-            # (exactly the paper's implicit dependence check).
-            self._discarded += 1
-            return False
-        pivot_col = int(support[0])
-
-        lead = int(incoming[pivot_col])
-        if lead != 1:
-            incoming = ENGINE.mul_scalar(incoming, int(INV[lead]))
-
-        # Back-eliminate the new pivot column from all stored rows so the
-        # matrix stays fully reduced: one region pass per touched row,
-        # accumulating straight into the stored matrix (no scaled-row
-        # matrix is materialized).  The column must be captured first —
-        # the pass mutates the very column it scales by.
-        if held:
-            column = self._work[:held, pivot_col].copy()
-            if column.any():
-                ENGINE.axpy_rows(self._work[:held], column, incoming)
-
-        self._work[held] = incoming
-        self._raw_payloads[held] = block.payload
-        self._raw_coefficients[held] = block.coefficients
-        self._sources[held] = source
-        self._pivot_cols[held] = pivot_col
-        self._pivot_to_row[pivot_col] = held
-        return True
+        accepted = self._absorb(
+            block.coefficients.reshape(1, n), block.payload.reshape(1, k), source
+        )
+        return accepted == 1
 
     def consume_batch(
         self,
@@ -220,11 +176,16 @@ class ProgressiveDecoder:
         reduction against every live pivot), the entire incoming
         coefficient matrix is reduced against the existing pivots with a
         *single* engine matmul — one innovation-check elimination pass —
-        and only the cheap within-batch bookkeeping (pivot selection,
-        normalization, back-elimination) runs per row.  The resulting
-        decoder state is byte-identical to consuming the same rows one
-        at a time, because the stored RREF (with this decoder's
-        arrival-order row placement) is unique.
+        and the within-batch Gauss–Jordan loop (pivot selection,
+        normalization, back-elimination) is one
+        :meth:`~repro.gf256.engine.Gf256Engine.eliminate_batch` call;
+        the per-row bookkeeping that is left (raw rows, sources, pivot
+        map) is vectorized.  The resulting decoder state is
+        byte-identical to consuming the same rows one at a time, because
+        the stored RREF (with this decoder's arrival-order row
+        placement) is unique.  ``blocks``/``payloads`` may be strided
+        views (e.g. straight from :func:`~repro.rlnc.wire.unpack_blocks`);
+        accepted rows are copied into the decoder's own buffers.
 
         Rows arriving after the decoder completes mid-batch necessarily
         reduce to zero and are counted as discarded — unlike
@@ -297,45 +258,27 @@ class ProgressiveDecoder:
             factors = coefficients[:, self._pivot_cols[:held0]]
             if factors.any():
                 incoming ^= matmul(factors, self._work[:held0])
-
-        accepted = 0
-        for idx in range(m):
-            row = incoming[idx]
-            support = np.nonzero(row[:n])[0]
-            if support.size == 0:
-                if count_discards:
-                    self._discarded += 1
-                continue
-            held = self.rank
-            pivot_col = int(support[0])
-            # Transform column for this row's raw payload; set before
-            # normalization so the scale factor is attributed (exactly as
-            # in consume()).
-            row[n + held] = 1
-            lead = int(row[pivot_col])
-            if lead != 1:
-                row = ENGINE.mul_scalar(row, int(INV[lead]))
-            # Eliminate the new pivot from the not-yet-processed batch
-            # rows so their factors stay final when their turn comes —
-            # the same in-place region pass as consume()'s back-
-            # elimination (zero factors skipped by the engine).
-            if idx + 1 < m:
-                column = incoming[idx + 1 :, pivot_col].copy()
-                if column.any():
-                    ENGINE.axpy_rows(incoming[idx + 1 :], column, row)
-            # Back-eliminate from all stored rows, as consume() does.
-            if held:
-                column = self._work[:held, pivot_col].copy()
-                if column.any():
-                    ENGINE.axpy_rows(self._work[:held], column, row)
-            self._work[held] = row
-            self._raw_payloads[held] = payloads[idx]
-            self._raw_coefficients[held] = coefficients[idx]
-            self._sources[held] = source
-            self._pivot_cols[held] = pivot_col
-            self._pivot_to_row[pivot_col] = held
-            accepted += 1
-        return accepted
+        # Pivot search, normalization and back-elimination for every
+        # row in one engine call; what is left here is bookkeeping.
+        accepted = ENGINE.eliminate_batch(
+            incoming, self._work, held0, self._pivot_cols
+        )
+        count = accepted.shape[0]
+        if count_discards:
+            self._discarded += m - count
+        if count:
+            rows = slice(held0, held0 + count)
+            if count == m:
+                self._raw_payloads[rows] = payloads
+                self._raw_coefficients[rows] = coefficients
+            else:
+                self._raw_payloads[rows] = payloads[accepted]
+                self._raw_coefficients[rows] = coefficients[accepted]
+            self._sources[rows] = [source] * count
+            self._pivot_to_row.update(
+                zip(self._pivot_cols[rows].tolist(), range(held0, held0 + count))
+            )
+        return count
 
     # -- poisoned-block quarantine -----------------------------------------
 

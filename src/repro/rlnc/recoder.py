@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.gf256.engine import ENGINE
-from repro.gf256.matrix import rank
 from repro.obs import obs_counter
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, CodingParams
@@ -44,6 +43,12 @@ class Recoder:
         )
         self._payloads = np.empty((capacity, params.block_size), dtype=np.uint8)
         self._count = 0
+        # RREF basis of the held coefficient rows, grown incrementally
+        # with the decoder's batched elimination (its transform half is
+        # bookkeeping the rank never reads).
+        n = params.num_blocks
+        self._basis = np.zeros((n, 2 * n), dtype=np.uint8)
+        self._pivots = np.zeros(n, dtype=np.int64)
         self._rank = 0
         self._rank_rows = 0
 
@@ -57,14 +62,24 @@ class Recoder:
         """Rank of the held coefficient rows — what recoding can span.
 
         Held blocks can be linearly dependent (a duplicate, or an
-        unlucky draw), so this may trail :attr:`buffered`.  Computed
-        only when rows arrived since the last call and full rank is not
-        yet reached.
+        unlucky draw), so this may trail :attr:`buffered`.  Only rows
+        that arrived since the last call are reduced — one matmul
+        against the basis and one batched elimination — and nothing
+        once full rank is reached.
         """
-        if self._rank_rows != self._count:
-            if self._rank < self._params.num_blocks:
-                self._rank = rank(self._coefficients[: self._count])
-            self._rank_rows = self._count
+        n = self._params.num_blocks
+        if self._rank_rows != self._count and self._rank < n:
+            fresh = self._coefficients[self._rank_rows : self._count]
+            incoming = np.zeros((fresh.shape[0], 2 * n), dtype=np.uint8)
+            incoming[:, :n] = fresh
+            if self._rank:
+                factors = fresh[:, self._pivots[: self._rank]]
+                incoming ^= ENGINE.matmul(factors, self._basis[: self._rank])
+            accepted = ENGINE.eliminate_batch(
+                incoming, self._basis, self._rank, self._pivots
+            )
+            self._rank += accepted.shape[0]
+        self._rank_rows = self._count
         return self._rank
 
     def _reserve(self, rows: int) -> None:

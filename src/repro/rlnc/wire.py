@@ -540,12 +540,49 @@ def unpack_frame(
     )
 
 
+@dataclass(frozen=True)
+class ExpectedHeader:
+    """The header a receiver expects on every frame of its slice.
+
+    A receiver knows the segment it is fetching, the segment's geometry
+    and whether its frames carry digests; :func:`unpack_blocks` checks
+    each frame's fixed header bytes against these instead of against
+    the stream's first frame.  The flags byte's worker stamp is free
+    (the digest covers it); only its checksum bit must match.
+    """
+
+    segment_id: int
+    num_blocks: int
+    block_size: int
+    checksum: bool = True
+
+    def fixed_bytes(self) -> np.ndarray:
+        """The header bytes before the sequence field, worker bits clear."""
+        packed = _HEADER.pack(
+            MAGIC,
+            VERSION2,
+            FLAG_CHECKSUM if self.checksum else 0,
+            self.segment_id,
+            self.num_blocks,
+            self.block_size,
+            0,
+        )
+        return np.frombuffer(packed[:_SEQ_OFFSET], dtype=np.uint8)
+
+
+#: Mask applied to received fixed header bytes under an
+#: :class:`ExpectedHeader`: everything but the worker stamp.
+_EXPECT_MASK = np.full(_SEQ_OFFSET, 0xFF, dtype=np.uint8)
+_EXPECT_MASK[5] = FLAG_CHECKSUM
+
+
 def unpack_blocks(
     data,
     *,
     copy: bool = False,
     strict: bool = True,
     stats: WireStats | None = None,
+    expect: ExpectedHeader | None = None,
 ) -> BlockBatch:
     """Parse a homogeneous frame stream into one :class:`BlockBatch`.
 
@@ -559,23 +596,40 @@ def unpack_blocks(
     :meth:`~repro.rlnc.decoder.TwoStageDecoder.add_batch` and
     :meth:`~repro.rlnc.recoder.Recoder.add_batch` directly.
 
-    In lenient mode (``strict=False``) frames whose header bytes or
-    integrity trailer are damaged are dropped and counted in ``stats``
-    (the returned batch then holds copies of only the surviving rows),
-    and a torn tail is counted as one malformed frame instead of
-    raising.  Damage to the *first* frame's geometry fields cannot be
-    localized — the stream's framing derives from it — so that still
-    raises :class:`~repro.errors.WireError` in both modes.
+    Without ``expect``, the stream's framing and reference header come
+    from its first frame.  With ``expect`` (the receive path of a client
+    or relay), they come from the receiver: every frame is checked
+    against the expected header, so damage to any frame — the first
+    included — stays local to that frame.
+
+    In lenient mode (``strict=False``) damaged frames are dropped and
+    counted in ``stats`` (the returned batch then holds copies of only
+    the surviving rows), and a torn tail is counted as one malformed
+    frame instead of raising.  Without ``expect``, a frame whose header
+    bytes differ from the first frame's is malformed, and damage to the
+    *first* frame's geometry fields raises :class:`WireError` in both
+    modes.  With ``expect``, each frame whose header bytes differ from
+    the expected ones is re-parsed on its own by :func:`unpack_frame`,
+    so it is accounted exactly as that function and the receiver's
+    segment/geometry check would account it — and a frame whose only
+    damage left it parseable and matching (say, a cleared checksum
+    flag) survives.  Clean frames never take that path.
 
     Raises:
-        WireError: on empty input, truncation, bad magic/version, or
-            (strict) mixed geometry/segment ids and torn streams.  Use
-            :func:`decode_stream` for heterogeneous streams.
+        WireError: on empty input (without ``expect``), truncation, bad
+            magic/version, or (strict) mismatched headers and torn
+            streams.  Use :func:`decode_stream` for heterogeneous
+            streams.
         IntegrityError: (strict) on any checksum failure.
     """
     view = memoryview(data)
-    flags, segment_id, n, k, _ = _parse_header(view, 0)
-    has_checksum = bool(flags & FLAG_CHECKSUM)
+    if expect is None:
+        flags, segment_id, n, k, _ = _parse_header(view, 0)
+        has_checksum = bool(flags & FLAG_CHECKSUM)
+    else:
+        segment_id = expect.segment_id
+        n, k = expect.num_blocks, expect.block_size
+        has_checksum = expect.checksum
     size_one = frame_size(n, k, checksum=has_checksum)
     tail = len(view) % size_one
     if tail and strict:
@@ -587,34 +641,32 @@ def unpack_blocks(
     if tail and stats is not None:
         stats.record_malformed()
     if m == 0:
-        # Lenient, and the only frame is torn: nothing recoverable.
+        # Lenient, and the only frame is torn (or nothing arrived).
         return BlockBatch(
             coefficients=np.empty((0, n), dtype=np.uint8),
             payloads=np.empty((0, k), dtype=np.uint8),
             segment_id=segment_id,
         )
-    _wire_counter("wire_bytes_unpacked").inc(m * size_one)
     frames = np.frombuffer(view, dtype=np.uint8, count=m * size_one).reshape(
         m, size_one
     )
     # Sequence bytes legitimately differ per frame; everything before
-    # them must match frame 0.
-    fixed = _SEQ_OFFSET
-    reference = frames[0, :fixed]
-    good = np.ones(m, dtype=bool)
-    if m > 1:
-        matches = np.all(
-            frames[:, :fixed] == np.broadcast_to(reference, (m, fixed)), axis=1
-        )
-        if not matches.all():
-            if strict:
-                raise WireError(
-                    "heterogeneous stream: frame headers differ "
-                    "(use decode_stream)"
-                )
-            good &= matches
-            if stats is not None:
-                stats.record_malformed(int(m - int(matches.sum())))
+    # them must match the reference header.
+    fixed = frames[:, :_SEQ_OFFSET]
+    if expect is None:
+        matches = np.all(fixed == fixed[0], axis=1)
+    else:
+        matches = np.all((fixed & _EXPECT_MASK) == expect.fixed_bytes(), axis=1)
+    headers_match = bool(matches.all())
+    if not headers_match and strict:
+        if expect is None:
+            raise WireError(
+                "heterogeneous stream: frame headers differ "
+                "(use decode_stream)"
+            )
+        raise WireError("frame headers differ from the expected header")
+    _wire_counter("wire_bytes_unpacked").inc(int(matches.sum()) * size_one)
+    good = matches.copy()
     head = _HEADER.size
     body = head + n + k
     if has_checksum:
@@ -628,8 +680,8 @@ def unpack_blocks(
             .view(">u8")
             .reshape(m)
         )
-        matches = stored == digests
-        bad = good & ~matches
+        verified = stored == digests
+        bad = good & ~verified
         if bad.any():
             if strict:
                 row = int(np.nonzero(bad)[0][0])
@@ -640,9 +692,18 @@ def unpack_blocks(
                 )
             if stats is not None:
                 stats.record_checksum_failure(int(bad.sum()))
-            good &= matches
+            good &= verified
     if stats is not None:
         stats.record_ok(int(good.sum()))
+    if not headers_match:
+        if expect is None:
+            if stats is not None:
+                stats.record_malformed(int(m - int(matches.sum())))
+        else:
+            for row in np.flatnonzero(~matches):
+                good[row] = _reparse(
+                    view[row * size_one : (row + 1) * size_one], expect, stats
+                )
     coefficients = frames[:, head : head + n]
     payloads = frames[:, head + n : body]
     if not good.all():
@@ -654,6 +715,33 @@ def unpack_blocks(
     return BlockBatch(
         coefficients=coefficients, payloads=payloads, segment_id=segment_id
     )
+
+
+def _reparse(frame, expect: ExpectedHeader, stats: WireStats | None) -> bool:
+    """Account one frame whose header differs from ``expect``.
+
+    The frame is parsed on its own exactly as a per-frame receiver
+    would: :func:`unpack_frame` leniently, then the segment and
+    geometry check.  Returns True when the frame survives both — its
+    coefficient and payload bytes then sit at the expected offsets.
+    """
+    try:
+        block, _, _ = unpack_frame(frame, strict=False, stats=stats)
+    except WireError:
+        if stats is not None:
+            stats.record_malformed()
+        return False
+    if block is None:
+        return False
+    if (
+        block.segment_id != expect.segment_id
+        or block.num_blocks != expect.num_blocks
+        or block.block_size != expect.block_size
+    ):
+        if stats is not None:
+            stats.record_malformed()
+        return False
+    return True
 
 
 def encode_frame(

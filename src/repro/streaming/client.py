@@ -29,20 +29,17 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.errors import (
-    ConfigurationError,
-    RetryExhaustedError,
-    RetryLater,
-    WireError,
-)
+from repro.errors import ConfigurationError, RetryExhaustedError, RetryLater
 from repro.faults import FaultPlan
 from repro.obs.registry import get_registry
 from repro.obs.trace import trace
 from repro.rlnc.block import Segment
 from repro.rlnc.decoder import ProgressiveDecoder
-from repro.rlnc.wire import WireStats, frame_size, unpack_frame
+from repro.rlnc.wire import ExpectedHeader, WireStats, frame_size, unpack_blocks
+
+# The per-frame parser stays importable here for code that wraps the
+# receive path's names; intake itself only calls unpack_blocks.
+from repro.rlnc.wire import unpack_frame  # noqa: F401
 from repro.streaming.session import MediaProfile
 
 if TYPE_CHECKING:
@@ -309,6 +306,7 @@ class ClientSession:
             params.num_blocks, params.block_size, checksum=checksum
         )
         self._decoder: ProgressiveDecoder | None = None
+        self._expect: ExpectedHeader | None = None
         self._segment_id: int | None = None
         self._segment_rounds = 0
         self._segment_requests = 0
@@ -333,8 +331,10 @@ class ClientSession:
             raise ConfigurationError(
                 f"segment {self._segment_id} fetch still in progress"
             )
-        self._decoder = ProgressiveDecoder(
-            self.server.profile.params, segment_id
+        params = self.server.profile.params
+        self._decoder = ProgressiveDecoder(params, segment_id)
+        self._expect = ExpectedHeader(
+            segment_id, params.num_blocks, params.block_size, self.checksum
         )
         self._segment_id = segment_id
         self._segment_rounds = 0
@@ -391,10 +391,16 @@ class ClientSession:
 
         ``wire_bytes`` is the peer's slice of the server round (or
         ``None`` when the round granted it nothing).  Frames pass
-        through the fault plan (if any), then a *lenient* per-frame
-        unpack: checksum failures and malformed frames are counted in
-        :attr:`SessionStats.wire` and charged to the upstream's
-        corruption ledger — never absorbed.  A round with an
+        through the fault plan (if any), then one *lenient* batched
+        :func:`~repro.rlnc.wire.unpack_blocks` over the whole slice:
+        every frame's header is checked against the one this session
+        expects and every digest is verified in one vectorized pass,
+        and the survivors reach the decoder as zero-copy views in a
+        single ``consume_batch``.  Checksum failures and malformed
+        frames are counted in :attr:`SessionStats.wire` and charged to
+        the upstream's corruption ledger — never absorbed — with the
+        same per-frame classification as a lenient
+        :func:`~repro.rlnc.wire.unpack_frame`.  A round with an
         outstanding request but no rank progress counts as a miss and
         arms exponential backoff.
 
@@ -410,53 +416,29 @@ class ClientSession:
                 f"segment {self._segment_id} exceeded "
                 f"{self.max_rounds_per_segment} rounds"
             )
-        frames = self._split(wire_bytes)
-        if self.fault_plan is not None and frames:
-            frames = self.fault_plan.apply_frames(frames)
-        blocks = []
-        n = decoder.params.num_blocks
-        k = decoder.params.block_size
+        wire = b"" if wire_bytes is None else wire_bytes
+        if self.fault_plan is not None:
+            wire = self.fault_plan.apply_wire(wire, self._frame_bytes)
         with trace("wire_unpack", peer=self.peer_id):
-            for frame in frames:
-                self.stats.frames_received += 1
-                self._m_frames.inc()
-                try:
-                    block, _, _ = unpack_frame(
-                        frame, strict=False, stats=self.stats.wire
-                    )
-                except WireError:
-                    # framing so damaged even the lenient parser gave up
-                    self.stats.wire.record_malformed()
-                    block = None
-                if block is None:
-                    decoder.record_corrupt(self.upstream)
-                    continue
-                if (
-                    block.segment_id != self._segment_id
-                    or block.num_blocks != n
-                    or block.block_size != k
-                ):
-                    self.stats.wire.record_malformed()
-                    decoder.record_corrupt(self.upstream)
-                    continue
-                blocks.append(block)
+            batch = unpack_blocks(
+                wire, strict=False, stats=self.stats.wire, expect=self._expect
+            )
+        frames = len(wire) // self._frame_bytes
+        self.stats.frames_received += frames
+        self._m_frames.inc(frames)
+        decoder.record_corrupt(self.upstream, frames - len(batch))
         innovative = 0
+        blocks = len(batch)
         if blocks:
             if decoder.is_complete:
-                self.stats.blocks_discarded += len(blocks)
-                self._m_discarded.inc(len(blocks))
+                self.stats.blocks_discarded += blocks
+                self._m_discarded.inc(blocks)
             else:
-                coefficients = np.stack(
-                    [block.coefficients for block in blocks]
-                )
-                payloads = np.stack([block.payload for block in blocks])
-                innovative = decoder.consume_batch(
-                    coefficients, payloads, source=self.upstream
-                )
+                innovative = decoder.consume_batch(batch, source=self.upstream)
                 self.stats.blocks_innovative += innovative
-                self.stats.blocks_discarded += len(blocks) - innovative
+                self.stats.blocks_discarded += blocks - innovative
                 self._m_innovative.inc(innovative)
-                self._m_discarded.inc(len(blocks) - innovative)
+                self._m_discarded.inc(blocks - innovative)
         if self._idle_round:
             self._idle_round = False
         elif innovative > 0 or decoder.is_complete:
@@ -523,17 +505,6 @@ class ClientSession:
         self._backoff = min(
             self._backoff * self.backoff_factor, self.max_backoff_rounds
         )
-
-    def _split(self, wire_bytes) -> list[bytes]:
-        """Cut a peer's round buffer into per-frame byte strings."""
-        if wire_bytes is None or len(wire_bytes) == 0:
-            return []
-        data = bytes(wire_bytes)
-        size = self._frame_bytes
-        count, tail = divmod(len(data), size)
-        if tail:
-            self.stats.wire.record_malformed()
-        return [data[i * size : (i + 1) * size] for i in range(count)]
 
 
 def drive_sessions(

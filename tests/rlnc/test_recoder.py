@@ -99,6 +99,23 @@ class TestRecoder:
         relay.add(blocks[3])
         assert (relay.buffered, relay.rank) == (5, 4)
 
+    def test_incremental_rank_matches_full_recompute(self):
+        from repro.gf256.matrix import rank
+
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 8, 33):
+            relay = Recoder(CodingParams(n, 4))
+            for _ in range(12):
+                rows = int(rng.integers(0, 4))
+                coefficients = rng.integers(0, 256, size=(rows, n), dtype=np.uint8)
+                # Mostly low-rank draws, so dependent rows are common.
+                coefficients[:, rng.integers(0, n + 1) :] = 0
+                if rows and rng.integers(0, 2):
+                    coefficients[-1] = 0
+                relay.add_batch(coefficients, np.zeros((rows, 4), dtype=np.uint8))
+                held = relay._coefficients[: relay.buffered]
+                assert relay.rank == rank(held)
+
 
 class TestBatchIntake:
     def test_add_batch_matches_per_block_adds(self):

@@ -63,19 +63,26 @@ def test_exempt_reference_module_still_exists():
 
 
 def test_decoder_inverse_scalar_comes_from_engine():
-    # The progressive decoder's only scalar table use (pivot
-    # normalization via INV) must flow through the engine facade.
+    # Pivot normalization via INV lives in the engine's batched
+    # elimination entry; the progressive decoder never touches INV.
     decoder_text = (SRC_ROOT / "rlnc" / "decoder.py").read_text()
-    assert "ENGINE.mul_scalar" in decoder_text
+    engine_text = (SRC_ROOT / "gf256" / "engine.py").read_text()
+    assert "ENGINE.eliminate_batch" in decoder_text
+    assert "INV" not in decoder_text
+    assert "self.mul_scalar(row, int(INV[lead]))" in engine_text
 
 
 def test_decoder_row_reduction_uses_region_ops():
-    # Forward reduction and back-elimination must use the fused region
-    # operations (no materialized scaled-row intermediates): fold_rows
-    # for the incoming-row reduction, axpy_rows for pivot elimination.
+    # Forward reduction is one engine matmul over the whole batch, and
+    # pivot elimination is the engine's eliminate_batch entry — one
+    # compiled call, or fused axpy_rows region passes without the
+    # kernel (no materialized scaled-row intermediates either way).
     decoder_text = (SRC_ROOT / "rlnc" / "decoder.py").read_text()
-    assert "ENGINE.fold_rows" in decoder_text
-    assert "ENGINE.axpy_rows" in decoder_text
+    engine_text = (SRC_ROOT / "gf256" / "engine.py").read_text()
+    assert "ENGINE.eliminate_batch" in decoder_text
+    assert "matmul(factors, self._work[:held0])" in decoder_text
+    assert "regionops.eliminate_batch" in engine_text
+    assert "self.axpy_rows(work[:held], column, row)" in engine_text
 
 
 def test_recoder_emit_uses_region_ops():
