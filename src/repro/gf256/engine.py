@@ -2,26 +2,13 @@
 
 Every bulk field operation in the library (batch encode, progressive
 decode row reduction, recoding, matrix solves) funnels through one
-:class:`Gf256Engine`, which owns four independent multiply backends and
-picks one per operation shape:
+:class:`Gf256Engine`, which owns two multiply backends:
 
 * ``table`` — the classic per-inner-index gather from the dense 256x256
-  product table (the seed formulation).  One fancy-indexing pass per
-  inner index; cheapest when the output has only a few rows, because
-  nothing is amortized across rows.
-* ``log`` — the paper's Sec. 5.1.2 logarithmic-domain dataflow, tiled:
-  both operands are moved to the log domain once (or arrive pre-logged
-  via :meth:`Gf256Engine.log_encode`, the TB-1 preprocessing cache),
-  then each tile of inner indices is resolved with a single ``EXP``
-  gather and an XOR reduction — ``n`` Python-loop trips become
-  ``n / tile``.
-* ``bitslice`` — a shift-and-add formulation: for each source row the
-  engine builds the table of all 256 multiples with seven vectorized
-  XOR doubling passes (``c*row`` for ``c`` in ``2^j..2^(j+1)-1`` is
-  ``(c-2^j)*row ^ x^j*row``), then resolves a whole output column of
-  coefficients with one contiguous row gather.  The build cost is
-  amortized over the output rows, so this backend wins by an order of
-  magnitude once the product has tens of rows.
+  product table (the seed formulation).  It is the portable oracle the
+  other path is checked against, and the cheapest formulation for small
+  products on a host without the compiled kernel, because nothing is
+  amortized across rows.
 * ``wide`` — the region-op dataflow: every output row is produced in a
   single fused multiply-accumulate pass per nonzero coefficient
   (:meth:`Gf256Engine.mul_add_region`), never materializing an
@@ -34,17 +21,20 @@ picks one per operation shape:
   tables, then one gather per nibble), so the backend exists — just
   slower — on every host.
 
-Zero handling in the log domain is maskless: the engine uses *padded*
-tables, ``LOG_PAD`` (uint16, ``LOG_PAD[0] = 512``) and ``EXP_PAD``
-(1025 entries, zero beyond index 509), so any sum involving a zero
-operand lands in the zeroed tail of ``EXP_PAD`` and no sentinel
-comparison is ever needed — the same trick as the paper's Table-based-3
-remapping (Sec. 5.1.3), generalized to batched numpy gathers.
+The row-reduction primitives (:meth:`Gf256Engine.scaled_rows`,
+:meth:`Gf256Engine.scaled_rows_xor`) gather in the log domain without
+masks: the engine uses *padded* tables, ``LOG_PAD`` (uint16,
+``LOG_PAD[0] = 512``) and ``EXP_PAD`` (1025 entries, zero beyond index
+509), so any sum involving a zero operand lands in the zeroed tail of
+``EXP_PAD`` and no sentinel comparison is ever needed — the same trick
+as the paper's Table-based-3 remapping (Sec. 5.1.3), generalized to
+batched numpy gathers.
 
-Backend selection: ``auto`` (the default) applies the shape heuristic
-in :meth:`Gf256Engine.select_matmul_backend`, optionally refined by a
-measured per-shape tuner (:meth:`Gf256Engine.attach_tuner`, fed by
-``repro.kernels.autotune.MatmulTuner``).  A concrete backend can be
+Backend selection: ``auto`` (the default) applies the one rule in
+:meth:`Gf256Engine.select_matmul_backend` — ``wide`` whenever the
+compiled kernel loaded; without it, ``wide``'s SWAR fallback for
+products of at least :data:`SWAR_MIN_ROWS` rows :data:`SWAR_MIN_WIDTH`
+bytes wide and ``table`` below that.  A concrete backend can be
 forced per engine or globally with :func:`set_backend`, or via the
 ``REPRO_GF_BACKEND`` environment variable — which is re-read every time
 an engine is constructed (and by ``set_backend(None)``), not just at
@@ -66,23 +56,21 @@ from repro.gf256.tables import EXP, INV, LOG, MUL_TABLE
 #: Environment variable consulted for the process-wide default backend.
 BACKEND_ENV_VAR = "REPRO_GF_BACKEND"
 
-#: Valid backend names (``auto`` defers to the per-shape heuristic).
-BACKENDS = ("auto", "table", "log", "bitslice", "wide")
+#: Valid backend names (``auto`` defers to the per-shape rule).
+BACKENDS = ("auto", "table", "wide")
 
 #: Sentinel stored at ``LOG_PAD[0]``: large enough that any padded-log
 #: sum involving a zero operand indexes the zeroed tail of ``EXP_PAD``.
 LOG_PAD_SENTINEL = 512
 
-#: Output rows at which ``auto`` switches from ``table`` to ``bitslice``
-#: (where the per-inner-index multiples-table build starts to amortize).
-BITSLICE_MIN_ROWS = 32
+#: Output rows at which ``auto`` without the compiled kernel switches
+#: from ``table`` to the SWAR ``wide`` fallback (where building per-row
+#: tables of multiples starts to amortize over the output rows).
+SWAR_MIN_ROWS = 32
 
-#: Row width below which the bitslice multiples table is not worth
-#: building (the 7 doubling passes cost ~30 numpy calls per inner index).
-BITSLICE_MIN_WIDTH = 32
-
-#: Element budget for one log-backend tile (m * tile * k uint16 sums).
-LOG_TILE_ELEMENTS = 1 << 21
+#: Row width below which the per-row tables of multiples are not worth
+#: building (the doubling passes cost tens of numpy calls per inner index).
+SWAR_MIN_WIDTH = 32
 
 #: SWAR masks for uint64 word-parallel doubling (xtime on 8 lanes).
 _WORD_LO = np.uint64(0x7F7F7F7F7F7F7F7F)
@@ -116,8 +104,8 @@ def multiples_table(row: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     Built with seven doubling XOR passes instead of a 64 KB-table gather:
     ``out[c]`` for ``c`` in ``2^j .. 2^(j+1)-1`` is ``out[c - 2^j] ^ d_j``
     where ``d_j = x^j * row`` comes from the Rijndael doubling step.  All
-    work is sequential SIMD XOR, which is what makes the bitslice matmul
-    backend fast.
+    work is sequential SIMD XOR, which is what makes
+    :meth:`Gf256Engine.scaled_rows` fast for many factors.
     """
     _as_u8(row)
     if out is None:
@@ -176,7 +164,7 @@ def _contiguous_words(array: np.ndarray) -> np.ndarray:
 
 
 class Gf256Engine:
-    """Shape-aware dispatcher over the four multiply backends.
+    """Shape-aware dispatcher over the two multiply backends.
 
     Args:
         backend: one of :data:`BACKENDS`, or ``None`` to read the
@@ -186,7 +174,6 @@ class Gf256Engine:
     """
 
     def __init__(self, backend: str | None = None) -> None:
-        self._tuner = None
         self.set_backend(backend)
 
     @property
@@ -218,63 +205,24 @@ class Gf256Engine:
             )
         self._backend = backend
 
-    def attach_tuner(self, tuner) -> None:
-        """Attach a measured per-shape tuner consulted by ``auto``.
-
-        ``tuner`` needs one method, ``lookup(m, n, k)``, returning a
-        concrete backend name for shapes it has measured and ``None``
-        otherwise (see ``repro.kernels.autotune.MatmulTuner``).  Pass
-        ``None`` to detach.
-        """
-        self._tuner = tuner
-
-    # -- preprocessing (the TB-1 cache format) -----------------------------
-
-    def log_encode(self, data: np.ndarray) -> np.ndarray:
-        """Transform an array into the engine's padded log domain.
-
-        This is the one-time preprocessing of Sec. 5.1.2: the result can
-        be passed as ``log_b`` to :meth:`matmul` any number of times, so
-        a streaming server pays the transform once per segment rather
-        than once per coded block.  The returned array is marked
-        read-only because callers cache it.
-        """
-        _as_u8(data)
-        encoded = LOG_PAD[data]
-        encoded.flags.writeable = False
-        return encoded
-
     # -- backend selection -------------------------------------------------
 
-    def select_matmul_backend(
-        self, m: int, n: int, k: int, *, pre_logged: bool = False
-    ) -> str:
+    def select_matmul_backend(self, m: int, n: int, k: int) -> str:
         """Resolve the concrete backend for an (m, n) x (n, k) product.
 
-        Resolution order under ``auto``: a measured tune-cache entry for
-        the exact shape wins (see :meth:`attach_tuner`); otherwise the
-        compiled wide kernel is used whenever it loaded (the fused
-        region pass beats every numpy formulation from single-row
-        products up — there is no table-build or preprocessing cost to
-        amortize); otherwise the numpy heuristic measured on the tier-1
-        shapes applies — the bitslice multiples-table build costs
-        ~256*k per inner index regardless of ``m``, so it needs enough
-        output rows (and wide enough rows) to amortize; below that,
-        pre-logged operands make the tiled log gather cheapest, and the
-        plain table gather wins for the remaining small products.
+        Under ``auto``: the compiled wide kernel whenever it loaded (the
+        fused region pass beats the table gather from single-row
+        products up — there is no table build to amortize); otherwise
+        the SWAR ``wide`` fallback, whose per-inner-index nibble-table
+        build needs enough output rows (and wide enough rows) to
+        amortize, and the plain ``table`` gather for smaller products.
         """
         if self._backend != "auto":
             return self._backend
-        if self._tuner is not None:
-            choice = self._tuner.lookup(m, n, k)
-            if choice is not None and choice != "auto" and choice in BACKENDS:
-                return choice
-        if regionops.kernel_available():
+        if regionops.kernel_available() or (
+            m >= SWAR_MIN_ROWS and k >= SWAR_MIN_WIDTH
+        ):
             return "wide"
-        if m >= BITSLICE_MIN_ROWS and k >= BITSLICE_MIN_WIDTH:
-            return "bitslice"
-        if pre_logged:
-            return "log"
         return "table"
 
     # -- matrix product ----------------------------------------------------
@@ -284,7 +232,6 @@ class Gf256Engine:
         a: np.ndarray,
         b: np.ndarray,
         *,
-        log_b: np.ndarray | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Matrix product over GF(2^8) (paper Eq. 1).
@@ -292,8 +239,6 @@ class Gf256Engine:
         Args:
             a: (m, n) uint8 coefficient matrix.
             b: (n, k) uint8 source matrix.
-            log_b: optional cached :meth:`log_encode` of ``b``; lets the
-                log backend skip the per-call preprocessing.
             out: optional (m, k) uint8 destination, overwritten in
                 place and returned.  Rows must be contiguous but the
                 row stride is free (a column sub-view of a larger
@@ -317,17 +262,9 @@ class Gf256Engine:
                 raise FieldError(
                     f"matmul out shape {out.shape} != {(m, k)}"
                 )
-        backend = self.select_matmul_backend(
-            m, n, k, pre_logged=log_b is not None
-        )
-        if backend == "wide":
+        if self.select_matmul_backend(m, n, k) == "wide":
             return self._matmul_wide(a, b, out)
-        if backend == "bitslice":
-            result = self._matmul_bitslice(a, b)
-        elif backend == "log":
-            result = self._matmul_log(a, b, log_b)
-        else:
-            result = self._matmul_table(a, b)
+        result = self._matmul_table(a, b)
         if out is None:
             return result
         out[:] = result
@@ -343,34 +280,6 @@ class Gf256Engine:
             if nonzero.size == 0:
                 continue
             out[nonzero] ^= MUL_TABLE[column[nonzero]][:, b[i]]
-        return out
-
-    def _matmul_log(
-        self, a: np.ndarray, b: np.ndarray, log_b: np.ndarray | None
-    ) -> np.ndarray:
-        """Tiled log-domain gather: ``n`` loop trips become ``n / tile``."""
-        m, n = a.shape
-        k = b.shape[1]
-        log_a = LOG_PAD[a]
-        if log_b is None:
-            log_b = LOG_PAD[b]
-        tile = max(1, LOG_TILE_ELEMENTS // max(1, m * k))
-        out = np.zeros((m, k), dtype=np.uint8)
-        for start in range(0, n, tile):
-            stop = min(start + tile, n)
-            sums = log_a[:, start:stop, None] + log_b[None, start:stop, :]
-            out ^= np.bitwise_xor.reduce(EXP_PAD[sums], axis=1)
-        return out
-
-    def _matmul_bitslice(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Shift-and-add multiples tables plus contiguous row gathers."""
-        m, n = a.shape
-        k = b.shape[1]
-        out = np.zeros((m, k), dtype=np.uint8)
-        scratch = np.empty((256, k), dtype=np.uint8)
-        for i in range(n):
-            table = multiples_table(b[i], scratch)
-            out ^= table[a[:, i]]
         return out
 
     def _matmul_wide(
@@ -456,30 +365,12 @@ class Gf256Engine:
         coefficient = int(coefficient)
         if coefficient == 0 or dst.shape[0] == 0:
             return
-        backend = self._resolve_region_backend()
-        if backend == "wide":
-            if regionops.kernel_available():
-                regionops.mul_add_region(dst, src, coefficient)
-            else:
-                self._mul_add_region_words(dst, src, coefficient)
-        elif backend == "log":
-            sums = LOG_PAD[coefficient] + LOG_PAD[src]
-            dst ^= EXP_PAD[sums]
-        elif backend == "bitslice":
-            product = np.zeros_like(dst)
-            doubled = src
-            bits = coefficient
-            while bits:
-                if bits & 1:
-                    product ^= doubled
-                bits >>= 1
-                if bits:
-                    doubled = (doubled << 1) ^ (
-                        ((doubled >> 7) & 1) * np.uint8(0x1B)
-                    )
-            dst ^= product
-        else:
+        if self._resolve_region_backend() != "wide":
             dst ^= MUL_TABLE[coefficient][src]
+        elif regionops.kernel_available():
+            regionops.mul_add_region(dst, src, coefficient)
+        else:
+            self._mul_add_region_words(dst, src, coefficient)
 
     def _mul_add_region_words(
         self, dst: np.ndarray, src: np.ndarray, coefficient: int
@@ -652,15 +543,15 @@ class Gf256Engine:
         """Return the matrix ``factors[i] * row`` (one row per factor).
 
         The materializing form of :meth:`axpy_rows`: callers XOR the
-        result into their stored rows.  Uses the bitslice multiples
-        table when there are enough factors to amortize it, otherwise a
+        result into their stored rows.  Uses :func:`multiples_table`
+        when there are enough factors to amortize it, otherwise a
         padded-log gather.
         """
         _as_u8(factors)
         _as_u8(row)
         if (
-            factors.shape[0] >= BITSLICE_MIN_ROWS
-            and row.shape[0] >= BITSLICE_MIN_WIDTH
+            factors.shape[0] >= SWAR_MIN_ROWS
+            and row.shape[0] >= SWAR_MIN_WIDTH
         ):
             return multiples_table(row)[factors]
         sums = LOG_PAD[factors][:, None] + LOG_PAD[row][None, :]

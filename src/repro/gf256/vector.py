@@ -86,23 +86,18 @@ def mul_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return MUL_TABLE[a, b]
 
 
-def matmul(
-    a: np.ndarray, b: np.ndarray, *, log_b: np.ndarray | None = None
-) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2^8).
 
     ``a`` is (m, n) and ``b`` is (n, k); the result is (m, k).  This is
     Eq. (1) of the paper when ``a`` is the coefficient matrix and ``b`` the
     source-block matrix.  Dispatches to the shape-selected backend of the
-    process-wide :class:`repro.gf256.engine.Gf256Engine`; pass ``log_b``
-    (a cached :meth:`~repro.gf256.engine.Gf256Engine.log_encode` of ``b``,
-    e.g. :meth:`repro.rlnc.block.Segment.log_blocks`) to let the log
-    backend skip its per-call preprocessing.
+    process-wide :class:`repro.gf256.engine.Gf256Engine`.
     """
-    return ENGINE.matmul(a, b, log_b=log_b)
+    return ENGINE.matmul(a, b)
 
 
-def matmul_log_domain(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+def matmul_log_domain(a_log: np.ndarray, b_log: np.ndarray) -> np.ndarray:
     """Matrix product where both operands are already in the log domain.
 
     This is the streaming-server formulation of Sec. 5.1.2: operands have
@@ -110,14 +105,14 @@ def matmul_log_domain(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     multiply inside the product is a single ``EXP`` gather (paper Fig. 5).
     Returns the product in the *normal* domain.
     """
-    if log_a.ndim != 2 or log_b.ndim != 2 or log_a.shape[1] != log_b.shape[0]:
+    if a_log.ndim != 2 or b_log.ndim != 2 or a_log.shape[1] != b_log.shape[0]:
         raise FieldError("log-domain matmul requires compatible 2-D operands")
-    m, n = log_a.shape
-    k = log_b.shape[1]
+    m, n = a_log.shape
+    k = b_log.shape[1]
     out = np.zeros((m, k), dtype=np.uint8)
     for i in range(n):
-        log_col = log_a[:, i].astype(np.uint16)
-        log_row = log_b[i].astype(np.uint16)
+        log_col = a_log[:, i].astype(np.uint16)
+        log_row = b_log[i].astype(np.uint16)
         live_rows = np.nonzero(log_col != LOG_ZERO_SENTINEL)[0]
         if live_rows.size == 0:
             continue

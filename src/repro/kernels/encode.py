@@ -9,12 +9,13 @@ differ:
   (:func:`repro.gf256.vector.mul_scalar_loop`) — Rijndael hand
   multiplication, the Sec. 4 baseline;
 * ``TABLE_0`` uses the classic log/exp lookup per multiplication (Fig. 1);
-* ``TABLE_1`` .. ``TABLE_5`` first transform the source segment and the
-  coefficient matrix into the logarithmic domain (Sec. 5.1.2), then
-  multiply with single exp lookups (Fig. 5).  The five variants differ
-  only in *where the exp table lives and how zero is tested*, which
-  changes timing, not results — their functional outputs are identical,
-  and tests assert exactly that.
+* ``TABLE_1`` .. ``TABLE_5`` model kernels that first transform the
+  source segment and the coefficient matrix into the logarithmic domain
+  (Sec. 5.1.2), then multiply with single exp lookups (Fig. 5).  The
+  five variants differ only in *where the exp table lives and how zero
+  is tested*, which changes timing, not results — their functional
+  outputs all come from the engine's matmul, and tests assert they are
+  identical.
 
 All schemes must produce byte-identical coded blocks for the same
 coefficients; this is the key cross-validation between the paper's
@@ -54,7 +55,8 @@ class GpuEncoder:
     def __init__(self, spec: DeviceSpec, scheme: EncodeScheme) -> None:
         self.spec = spec
         self.scheme = scheme
-        self._log_segments: dict[int, np.ndarray] = {}
+        #: Ids of segments uploaded (and so already preprocessed).
+        self._log_segments: set[int] = set()
         #: Host -> device transfer accounting for uploaded segments.
         self.transfers = TransferStats()
         # Per-scheme registry series, resolved once per encoder.
@@ -78,17 +80,17 @@ class GpuEncoder:
     def upload_segment(self, segment: Segment) -> float:
         """Move a segment into simulated device memory (Sec. 5.1.2).
 
-        For log-domain schemes this also runs the one-time preprocessing
-        of the segment's source blocks (memoized on the segment itself,
-        see :meth:`repro.rlnc.block.Segment.log_blocks`); subsequent
-        encodes reuse it, the way a streaming server amortizes the
-        transform over the thousands of coded blocks generated per
-        segment.
+        For log-domain schemes the upload also stands for the one-time
+        preprocessing of the segment's source blocks: encodes of an
+        uploaded segment are modelled without it, the way a streaming
+        server amortizes the transform over the thousands of coded
+        blocks generated per segment.  The functional encode needs no
+        host-side transform; it runs on the engine.
 
         Returns:
             The modelled PCIe transfer time in seconds.
         """
-        self._log_segments[segment.segment_id] = segment.log_blocks()
+        self._log_segments.add(segment.segment_id)
         before = self.transfers.time_seconds(self.spec)
         self.transfers.bytes_to_device += segment.blocks.size
         self.transfers.transfers += 1
@@ -98,7 +100,7 @@ class GpuEncoder:
 
     def drop_segment(self, segment_id: int) -> None:
         """Release the device-resident preprocessing of one segment."""
-        self._log_segments.pop(segment_id, None)
+        self._log_segments.discard(segment_id)
 
     def encode(
         self,
@@ -217,13 +219,10 @@ class GpuEncoder:
             return _loop_based_matmul(coefficients, segment.blocks)
         if self.scheme is EncodeScheme.TABLE_0:
             return _table_matmul(coefficients, segment.blocks)
-        # TABLE_1..5: log-domain dataflow with the preprocessed segment,
+        # TABLE_1..5 differ from each other only in timing; they are
         # routed through the engine so the streaming server's bulk path
         # shares one implementation with the reference codec.
-        log_blocks = self._log_segments.get(segment.segment_id)
-        if log_blocks is None:
-            log_blocks = segment.log_blocks()
-        return matmul(coefficients, segment.blocks, log_b=log_blocks)
+        return matmul(coefficients, segment.blocks)
 
 
 def _loop_based_matmul(coefficients: np.ndarray, blocks: np.ndarray) -> np.ndarray:

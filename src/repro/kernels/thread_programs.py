@@ -91,10 +91,10 @@ def table_encode_program(ctx):
                 continue
             product = 0
             for lane in range(4):
-                log_b = (word >> (8 * lane)) & 0xFF
-                if log_b == LOG_ZERO_SENTINEL:
+                log_lane = (word >> (8 * lane)) & 0xFF
+                if log_lane == LOG_ZERO_SENTINEL:
                     continue
-                value = yield ctx.smem_load("exp_s", log_c + log_b)
+                value = yield ctx.smem_load("exp_s", log_c + log_lane)
                 product |= value << (8 * lane)
             accumulator ^= product
         yield ctx.gmem_store("out", row * wpb + col, accumulator)

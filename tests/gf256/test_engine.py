@@ -1,9 +1,9 @@
 """Equivalence and selection tests for the pluggable GF(2^8) engine.
 
-The three multiply backends must be byte-exact against each other and
+The two multiply backends must be byte-exact against each other and
 against the seed-era scalar reference (``gf_mul_loop``) on randomized
-shapes — this is the cross-validation contract that lets the shape
-heuristic switch backends freely without observable effect.
+shapes — this is the cross-validation contract that lets the ``auto``
+rule switch backends freely without observable effect.
 """
 
 import numpy as np
@@ -17,6 +17,8 @@ from repro.gf256.engine import (
     LOG_PAD,
     LOG_PAD_SENTINEL,
     ENGINE,
+    SWAR_MIN_ROWS,
+    SWAR_MIN_WIDTH,
     Gf256Engine,
     multiples_table,
 )
@@ -35,6 +37,12 @@ def scalar_reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc ^= gf_mul_loop(int(a[row, i]), int(b[i, col]))
             out[row, col] = acc
     return out
+
+
+def assert_lists_only_catalog(message: str) -> None:
+    """The rejection names exactly the valid backends, nothing else."""
+    assert message.endswith(f"expected one of {BACKENDS}")
+    assert BACKENDS == ("auto", "table", "wide")
 
 
 class TestPaddedTables:
@@ -90,14 +98,9 @@ class TestBackendEquivalence:
         a = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
         b = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
         expected = scalar_reference_matmul(a, b)
-        for backend in ("table", "log", "bitslice"):
+        for backend in ("table", "wide"):
             engine = Gf256Engine(backend)
             assert np.array_equal(engine.matmul(a, b), expected), backend
-        # Pre-logged operand path must be byte-identical too.
-        engine = Gf256Engine("log")
-        assert np.array_equal(
-            engine.matmul(a, b, log_b=engine.log_encode(b)), expected
-        )
 
     def test_backends_agree_on_large_random_shapes(self):
         rng = np.random.default_rng(13)
@@ -109,10 +112,9 @@ class TestBackendEquivalence:
             b = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
             results = {
                 backend: Gf256Engine(backend).matmul(a, b)
-                for backend in ("table", "log", "bitslice")
+                for backend in ("table", "wide")
             }
-            assert np.array_equal(results["table"], results["log"])
-            assert np.array_equal(results["table"], results["bitslice"])
+            assert np.array_equal(results["table"], results["wide"])
 
     def test_zero_heavy_operands(self):
         rng = np.random.default_rng(14)
@@ -121,11 +123,16 @@ class TestBackendEquivalence:
         b = rng.integers(0, 256, size=(20, 50), dtype=np.uint8)
         b[:, ::2] = 0
         results = [
-            Gf256Engine(backend).matmul(a, b)
-            for backend in ("table", "log", "bitslice")
+            Gf256Engine(backend).matmul(a, b) for backend in ("table", "wide")
         ]
         assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
+
+    def test_rejects_non_u8(self):
+        with pytest.raises(FieldError):
+            ENGINE.matmul(
+                np.zeros((2, 2), dtype=np.uint16),
+                np.zeros((2, 2), dtype=np.uint8),
+            )
 
 
 class TestRowPrimitives:
@@ -156,10 +163,10 @@ class TestRowPrimitives:
 
 class TestBackendSelection:
     def test_env_var_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_BACKEND", "log")
+        monkeypatch.setenv("REPRO_GF_BACKEND", "table")
         engine = Gf256Engine()
-        assert engine.backend == "log"
-        assert engine.select_matmul_backend(1000, 8, 1000) == "log"
+        assert engine.backend == "table"
+        assert engine.select_matmul_backend(1000, 8, 1000) == "table"
 
     def test_set_backend_overrides_and_resets(self):
         engine = Gf256Engine("table")
@@ -168,28 +175,30 @@ class TestBackendSelection:
         assert engine.backend == "auto"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(FieldError):
-            Gf256Engine("simd9000")
+        # ``log`` and ``bitslice`` were backends once; they are unknown now.
+        for name in ("simd9000", "log", "bitslice"):
+            with pytest.raises(FieldError) as excinfo:
+                Gf256Engine(name)
+            assert_lists_only_catalog(str(excinfo.value))
         engine = Gf256Engine()
         with pytest.raises(FieldError):
             engine.set_backend("nope")
 
     def test_unknown_env_backend_raises_listing_catalog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_BACKEND", "quantum")
-        with pytest.raises(FieldError) as excinfo:
-            Gf256Engine()
-        message = str(excinfo.value)
-        for name in BACKENDS:
-            assert name in message
+        for name in ("quantum", "bitslice"):
+            monkeypatch.setenv("REPRO_GF_BACKEND", name)
+            with pytest.raises(FieldError) as excinfo:
+                Gf256Engine()
+            assert_lists_only_catalog(str(excinfo.value))
 
     def test_env_var_reread_per_construction(self, monkeypatch):
         # The variable is consulted at construction (and on
         # set_backend(None)), never latched at import time.
-        monkeypatch.setenv("REPRO_GF_BACKEND", "bitslice")
-        assert Gf256Engine().backend == "bitslice"
+        monkeypatch.setenv("REPRO_GF_BACKEND", "wide")
+        assert Gf256Engine().backend == "wide"
         monkeypatch.setenv("REPRO_GF_BACKEND", "table")
         assert Gf256Engine().backend == "table"
-        engine = Gf256Engine("log")
+        engine = Gf256Engine("table")
         monkeypatch.setenv("REPRO_GF_BACKEND", "wide")
         engine.set_backend(None)
         assert engine.backend == "wide"
@@ -205,36 +214,22 @@ class TestBackendSelection:
     def test_heuristic_shape_dispatch_without_kernel(self, monkeypatch):
         engine = Gf256Engine("auto")
         monkeypatch.setattr(regionops, "kernel_available", lambda: False)
-        # Many output rows amortize the multiples tables.
-        assert engine.select_matmul_backend(256, 128, 4096) == "bitslice"
-        # Few rows, cached log operand: log gather.
+        # Enough rows, wide enough, amortize the SWAR nibble tables.
+        assert engine.select_matmul_backend(256, 128, 4096) == "wide"
         assert (
-            engine.select_matmul_backend(1, 128, 4096, pre_logged=True) == "log"
+            engine.select_matmul_backend(SWAR_MIN_ROWS, 1, SWAR_MIN_WIDTH)
+            == "wide"
         )
-        # Few rows, nothing cached: plain table gather.
-        assert engine.select_matmul_backend(2, 128, 4096) == "table"
-        # Narrow rows never pay the multiples-table build.
-        assert engine.select_matmul_backend(256, 128, 8) == "table"
+        # Fewer rows: plain table gather.
+        assert engine.select_matmul_backend(SWAR_MIN_ROWS - 1, 128, 4096) == (
+            "table"
+        )
+        assert engine.select_matmul_backend(1, 128, 4096) == "table"
+        # Narrow rows never pay the nibble-table build.
+        assert engine.select_matmul_backend(256, 128, SWAR_MIN_WIDTH - 1) == (
+            "table"
+        )
 
     def test_all_backend_names_construct(self):
         for name in BACKENDS:
             assert Gf256Engine(name).backend == name
-
-
-class TestLogEncode:
-    def test_log_encode_is_read_only_padded(self):
-        data = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        encoded = ENGINE.log_encode(data)
-        assert encoded.dtype == np.uint16
-        assert encoded[0, 0] == LOG_PAD_SENTINEL
-        with pytest.raises(ValueError):
-            encoded[0, 0] = 1
-
-    def test_rejects_non_u8(self):
-        with pytest.raises(FieldError):
-            ENGINE.log_encode(np.zeros((2, 2), dtype=np.uint16))
-        with pytest.raises(FieldError):
-            ENGINE.matmul(
-                np.zeros((2, 2), dtype=np.uint16),
-                np.zeros((2, 2), dtype=np.uint8),
-            )

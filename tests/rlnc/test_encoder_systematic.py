@@ -1,4 +1,4 @@
-"""Systematic-boundary accounting and log-cache semantics.
+"""Systematic-boundary accounting and source-mutation semantics.
 
 The systematic emission cursor must behave identically whether callers
 drain the encoder one block at a time, in batches, or in any interleaving
@@ -8,11 +8,11 @@ is a dense random combination.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf256 import matmul
-from repro.gf256.engine import ENGINE
+from repro.gf256.engine import BACKENDS, ENGINE, Gf256Engine
 from repro.rlnc import (
     CodedBlock,
     CodingParams,
@@ -101,39 +101,28 @@ class TestSystematicBoundary:
         assert np.array_equal(decoder.recover_segment().blocks, segment.blocks)
 
 
-class TestSegmentLogCache:
-    def test_log_blocks_is_memoized(self):
-        segment = make_segment(4, 8, 71)
-        first = segment.log_blocks()
-        assert segment.log_blocks() is first
-        assert not first.flags.writeable
-
-    def test_rebinding_blocks_invalidates_automatically(self):
-        segment = make_segment(4, 8, 72)
-        stale = segment.log_blocks()
-        segment.blocks = np.zeros((4, 8), dtype=np.uint8)
-        fresh = segment.log_blocks()
-        assert fresh is not stale
-        assert np.array_equal(fresh, ENGINE.log_encode(segment.blocks))
-
-    def test_in_place_mutation_requires_explicit_invalidation(self):
-        segment = make_segment(4, 8, 73)
-        stale = segment.log_blocks()
-        segment.blocks[0, 0] ^= 0xFF
-        # Contract: in-place writes are invisible to the identity check...
-        assert segment.log_blocks() is stale
-        # ...until the caller invalidates, after which the cache refreshes.
-        segment.invalidate_log_cache()
-        assert np.array_equal(
-            segment.log_blocks(), ENGINE.log_encode(segment.blocks)
-        )
-
-    def test_encoder_output_tracks_invalidated_mutation(self):
+class TestSegmentMutation:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_in_place_write_reaches_encode(self, backend):
+        """An in-place write to ``segment.blocks`` shows up in the very
+        next ``encode_block``/``encode_batch``, with no invalidation call,
+        whatever the backend: the encoder keeps no derived copy."""
         segment = make_segment(4, 8, 74)
         encoder = Encoder(segment, np.random.default_rng(75))
-        encoder.encode_block()  # populates the cache
-        segment.blocks[:] ^= 0x5A
-        segment.invalidate_log_cache()
-        block = encoder.encode_block()
-        expected = matmul(block.coefficients[None, :], segment.blocks)[0]
-        assert np.array_equal(block.payload, expected)
+        ENGINE.set_backend(backend)
+        try:
+            encoder.encode_block()
+            encoder.encode_batch(2)
+            segment.blocks[:] ^= 0x5A
+            block = encoder.encode_block()
+            coefficients, payloads = encoder.encode_batch(3)
+        finally:
+            ENGINE.set_backend(None)
+        oracle = Gf256Engine("table")
+        assert np.array_equal(
+            block.payload,
+            oracle.matmul(block.coefficients[None, :], segment.blocks)[0],
+        )
+        assert np.array_equal(
+            payloads, oracle.matmul(coefficients, segment.blocks)
+        )
