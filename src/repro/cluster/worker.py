@@ -10,7 +10,7 @@ The control/data split the parallel cluster is built on:
   Segment publishes go parent -> worker through the ring inbox; round
   output goes worker -> parent as wire frames packed straight into the
   ring arena by the worker's own zero-copy
-  :meth:`~repro.streaming.server.StreamingServer.serve_round_into`.
+  :meth:`~repro.streaming.server.RoundServer.serve_round_into`.
   Replies carry only ``(offset, length)`` spans into the ring.
 
 Each worker process hosts exactly the object graph the in-process
@@ -36,7 +36,7 @@ import os
 import pickle
 import time
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
@@ -50,6 +50,7 @@ from repro.errors import (
 from repro.faults import WorkerChaosSpec
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
+from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import Segment
 from repro.rlnc.wire import frame_size, stream_size
 from repro.streaming.server import StreamingServer
@@ -107,7 +108,7 @@ class WorkerBootstrap:
 
 
 @dataclass
-class WorkerLifecycleStats:
+class WorkerLifecycleStats(CumulativeStats):
     """Teardown accounting for one :class:`WorkerProcess` handle.
 
     The supervision layer needs to know *how* a worker died, not just
@@ -128,9 +129,6 @@ class WorkerLifecycleStats:
     sigkills: int = 0
     join_escalations: int = 0
     join_timeouts: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _SessionMirror:

@@ -18,29 +18,32 @@ be an interior node of a multicast tree.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CapacityError, ConfigurationError, RetryLater
+from repro.errors import CapacityError, ConfigurationError
 from repro.obs.registry import get_registry
-from repro.obs.trace import trace
+from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.recoder import Recoder
-from repro.rlnc.wire import VERSION2, check_version, pack_blocks, stream_size
-from repro.streaming.scheduler import BlockRequest, ServeRoundScheduler
-from repro.streaming.server import EagerRoundTicket
-from repro.streaming.session import MediaProfile, PeerSession
+
+# The packer stays importable here for code that wraps the relay's
+# names; rounds pack through the shared RoundServer loop.
+from repro.rlnc.wire import pack_blocks  # noqa: F401
+from repro.streaming.server import RoundServer
+from repro.streaming.session import MediaProfile
 
 
 @dataclass
-class RelayStats:
+class RelayStats(CumulativeStats):
     """Aggregate accounting for one relay lifetime.
 
     The same explicit cumulative ``snapshot()/delta()/reset()`` contract
     as :class:`~repro.streaming.server.ServerStats` — the relay only
-    ever adds to these counters.
+    ever adds to these counters.  ``bytes_served`` counts payload bytes
+    (blocks × ``block_size``) on both round formats, as the server's
+    does.
     """
 
     segments_published: int = 0
@@ -52,34 +55,17 @@ class RelayStats:
     rounds_served: int = 0
     sessions_evicted: int = 0
 
-    def snapshot(self) -> "RelayStats":
-        """An independent copy of the current totals."""
-        return RelayStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
 
-    def delta(self, since: "RelayStats") -> "RelayStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return RelayStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
-    def reset(self) -> "RelayStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-class RelayNode:
+class RelayNode(RoundServer):
     """A recoding interior node implementing the serving protocol.
+
+    The session table, request queue, round planning, fan-out, frame
+    packing and ticket pair are the shared
+    :class:`~repro.streaming.server.RoundServer` round; the relay
+    contributes its buffer (servable once it holds a block of the
+    segment) and its emission (one
+    :meth:`~repro.rlnc.recoder.Recoder.recode_matrix` per segment per
+    round — one mix-matrix draw, one pair of engine matmuls).
 
     Args:
         profile: media/coding configuration (shared by the whole tree).
@@ -102,22 +88,14 @@ class RelayNode:
         per_peer_round_quota: int | None = None,
         worker_id: int | None = None,
     ) -> None:
-        self.profile = profile
-        self.name = name
-        self.worker_id = worker_id
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._recoders: dict[int, Recoder] = {}
-        self._sessions: dict[int, PeerSession] = {}
-        self._disconnected: set[int] = set()
-        self._queue: deque[BlockRequest] = deque()
-        self._round_scheduler = ServeRoundScheduler(
-            per_peer_quota=per_peer_round_quota
+        super().__init__(
+            profile,
+            rng=rng,
+            per_peer_round_quota=per_peer_round_quota,
+            worker_id=worker_id,
         )
-        # Double-buffered wire storage: frames from round r stay valid
-        # while round r+1 packs into the other slot — the relay-side
-        # half of pipelined serving.
-        self._wire_buffers = [bytearray(), bytearray()]
-        self._wire_slot = 0
+        self.name = name
+        self._recoders: dict[int, Recoder] = {}
         self.stats = RelayStats()
         registry = get_registry()
         self._m_ingested = registry.counter("relay_blocks_ingested")
@@ -182,228 +160,24 @@ class RelayNode:
             self._recoders[segment_id] = recoder
         return recoder
 
-    # -- downstream (ServingEndpoint) side ----------------------------------
+    # -- RoundServer hooks ---------------------------------------------------
 
-    def connect(self, peer_id: int) -> PeerSession:
-        """Register a downstream peer (idempotent)."""
-        if peer_id not in self._sessions:
-            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
-            self._disconnected.discard(peer_id)
-        return self._sessions[peer_id]
-
-    def disconnect(self, peer_id: int) -> None:
-        """Evict a downstream peer and drop its queued requests."""
-        if self._sessions.pop(peer_id, None) is None:
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        self._disconnected.add(peer_id)
-        if self._queue:
-            self._queue = deque(
-                request
-                for request in self._queue
-                if request.peer_id != peer_id
-            )
-        self.stats.sessions_evicted += 1
-
-    @property
-    def pending_requests(self) -> int:
-        """Queued block requests awaiting the next serving round."""
-        return len(self._queue)
-
-    @property
-    def pending_blocks(self) -> int:
-        """Total coded blocks the queue is waiting on."""
-        return sum(request.num_blocks for request in self._queue)
-
-    def session_counters(self) -> dict[int, tuple[int, int, int]]:
-        """Per-peer ``(requested, received, pending)`` block counters."""
-        return {
-            peer_id: (
-                session.blocks_requested,
-                session.blocks_received,
-                session.blocks_pending,
-            )
-            for peer_id, session in self._sessions.items()
-        }
-
-    def request_blocks(
-        self, peer_id: int, segment_id: int, num_blocks: int
-    ) -> RetryLater | None:
-        """Enqueue a downstream ask for recoded blocks.
-
-        Requests carry the same nearly-complete-first priority as the
-        origin server, so NACK retransmissions outrank bulk fetches.
-
-        Raises:
-            CapacityError: the relay holds nothing for the segment yet
-                (its uplink has not delivered), or the peer's session
-                was evicted.
-            ConfigurationError: unknown peers or non-positive counts.
-        """
-        if peer_id not in self._sessions:
-            if peer_id in self._disconnected:
-                raise CapacityError(
-                    f"peer {peer_id} session was evicted; reconnect first"
-                )
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        if num_blocks < 1:
-            raise ConfigurationError("must request at least one block")
+    def _require_servable(self, segment_id: int) -> None:
         if self.held(segment_id) == 0:
             raise CapacityError(
                 f"relay {self.name!r} holds no blocks of segment "
                 f"{segment_id} yet"
             )
-        priority = max(0, self.profile.params.num_blocks - num_blocks)
-        self._queue.append(
-            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
-        )
-        self._sessions[peer_id].record_request(num_blocks)
-        return None
 
-    def serve_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION2,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
-        """Drain one scheduling round of the downstream request queue.
-
-        All grants against the same segment coalesce into a *single*
-        :meth:`~repro.rlnc.recoder.Recoder.recode_matrix` emission (one
-        mix-matrix draw, one pair of engine matmuls) fanned back out as
-        zero-copy row views — the relay's analogue of the server's
-        coalesced encode.
-
-        Args:
-            format: ``"batches"`` returns ``peer_id -> [BlockBatch]``;
-                ``"frames"`` packs the round into the relay's
-                double-buffered wire storage and returns ``peer_id ->
-                memoryview`` (valid for two rounds — one pipelined round
-                may be in flight while the next packs).
-            checksum: frames format only — digest trailers.  Frames
-                always carry per-session sequences and the relay's
-                worker stamp.
-            version: accepts only 2, the one frame version.
-
-        Raises:
-            ConfigurationError: on an unknown ``format``.
-            WireError: on any ``version`` but 2.
-        """
-        check_version(version)
-        if format == "batches":
-            return self._round_batches()
-        if format == "frames":
-            return self._round_frames(checksum=checksum)
-        raise ConfigurationError(
-            f"unknown serve_round format {format!r}; "
-            "expected 'batches' or 'frames'"
-        )
-
-    def begin_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION2,
-    ) -> object:
-        """Pipelined entry: run this round now, collect its result later.
-
-        A relay recodes synchronously, so the overlap is modelled (the
-        timeline model prices the stages); the ticket protocol matches
-        the cluster's genuinely-concurrent implementation so pipelined
-        drivers treat every endpoint alike.
-        """
-        return EagerRoundTicket(
-            self.serve_round(format=format, checksum=checksum, version=version)
-        )
-
-    def collect_round(self, ticket: object) -> dict:
-        """Barrier on a :meth:`begin_round` ticket; returns its result."""
-        if not isinstance(ticket, EagerRoundTicket):
-            raise ConfigurationError(
-                "collect_round needs the ticket returned by begin_round"
-            )
-        return ticket.take()
-
-    def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        if not self._queue:
-            return {}
-        with trace("relay_round", relay=self.name):
-            plan = self._round_scheduler.plan_round(self._queue)
-            for segment_id in plan.grants:
-                if self.held(segment_id) == 0:
-                    raise CapacityError(
-                        f"relay {self.name!r} holds no blocks of segment "
-                        f"{segment_id}"
-                    )
-            self._queue = deque(plan.carryover)
-            fanout: dict[int, list[BlockBatch]] = {}
-            for segment_id, grants in plan.grants.items():
-                counts = [count for _, count in grants]
-                total = sum(counts)
-                batch = self._recoders[segment_id].recode_matrix(
-                    total, self._rng
-                )
-                self.stats.recode_calls += 1
-                self.stats.blocks_recoded += total
-                self.stats.blocks_served += total
-                self._m_recoded.inc(total)
-                row = 0
-                for (peer_id, count) in grants:
-                    view = BlockBatch(
-                        coefficients=batch.coefficients[row : row + count],
-                        payloads=batch.payloads[row : row + count],
-                        segment_id=segment_id,
-                    )
-                    row += count
-                    fanout.setdefault(peer_id, []).append(view)
-                    self._sessions[peer_id].record_blocks(count)
-            for peer_id in fanout:
-                self._sessions[peer_id].rounds_served += 1
-            self.stats.rounds_served += 1
-            self._m_rounds.inc()
-        return fanout
-
-    def _round_frames(self, *, checksum: bool) -> dict[int, memoryview]:
-        fanout = self._round_batches()
-        if not fanout:
-            return {}
-        total = sum(
-            stream_size(
-                len(batch),
-                batch.num_blocks,
-                batch.block_size,
-                checksum=checksum,
-            )
-            for batches in fanout.values()
-            for batch in batches
-        )
-        slot = self._wire_slot
-        self._wire_slot = (slot + 1) % len(self._wire_buffers)
-        if len(self._wire_buffers[slot]) < total:
-            self._wire_buffers[slot] = bytearray(total)
-        view = memoryview(self._wire_buffers[slot])
-        offset = 0
-        frames: dict[int, memoryview] = {}
-        with trace("relay_wire_pack", relay=self.name):
-            for peer_id, batches in fanout.items():
-                session = self._sessions[peer_id]
-                start = offset
-                for batch in batches:
-                    packed = pack_blocks(
-                        batch,
-                        checksum=checksum,
-                        out=view,
-                        offset=offset,
-                        first_sequence=session.tx_sequence,
-                        worker_id=self.worker_id,
-                    )
-                    session.tx_sequence += len(batch)
-                    offset += len(packed)
-                frames[peer_id] = view[start:offset]
-                self.stats.bytes_served += offset - start
-                self._m_bytes.inc(offset - start)
-        return frames
+    def _emit(
+        self, segment_id: int, counts: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        total = sum(counts)
+        batch = self._recoders[segment_id].recode_matrix(total, self._rng)
+        self.stats.recode_calls += 1
+        self.stats.blocks_recoded += total
+        self._m_recoded.inc(total)
+        return batch.coefficients, batch.payloads
 
     def stats_snapshot(self) -> dict:
         """A registry-shaped counters/gauges/histograms snapshot."""
@@ -426,4 +200,3 @@ class RelayNode:
             },
             "histograms": {},
         }
-

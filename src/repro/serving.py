@@ -15,10 +15,6 @@ interchangeably::
     endpoint.publish(segment)
     session = ClientSession(endpoint, peer_id=1)
     data = session.fetch_segment(segment.segment_id)
-
-The pre-facade ``StreamingServer.serve_round_frames`` shim completed its
-one-release deprecation grace and has been removed; use
-``serve_round(format="frames", ...)``.
 """
 
 from __future__ import annotations

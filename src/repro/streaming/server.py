@@ -22,11 +22,14 @@ Two serving paths coexist:
   ``serve_round(format="frames")`` additionally serializes the whole
   round into one reused contiguous wire buffer and hands each peer a
   ``memoryview`` slice of it.  Both wire spellings sit on
-  :meth:`StreamingServer.serve_round_into`, which packs a round into
+  :meth:`RoundServer.serve_round_into`, which packs a round into
   *caller-allocated* storage — the hook the multiprocess cluster uses
   to land frames directly in a shared-memory ring.
 
-The server implements the :class:`repro.serving.ServingEndpoint`
+The round itself lives in :class:`RoundServer`, which the recoding
+:class:`~repro.multicast.relay.RelayNode` subclasses too: an endpoint
+only says whether it can serve a segment and how it emits a segment's
+grants.  The server implements the :class:`repro.serving.ServingEndpoint`
 protocol, so anything written against the unified serving facade drives
 a single node and a sharded :class:`~repro.cluster.ServingCluster`
 interchangeably.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from repro.gpu.spec import DeviceSpec
 from repro.kernels.cost_model import EncodeScheme
 from repro.kernels.encode import GpuEncoder
 from repro.obs.registry import get_registry
+from repro.obs.stats import CumulativeStats
 from repro.obs.trace import trace
 from repro.rlnc.block import BlockBatch, CodedBlock, Segment
 from repro.rlnc.wire import VERSION2, check_version, pack_blocks, stream_size
@@ -54,7 +58,7 @@ from repro.streaming.session import MediaProfile, PeerSession
 
 
 @dataclass
-class ServerStats:
+class ServerStats(CumulativeStats):
     """Aggregate accounting for one server lifetime.
 
     Accumulation follows the same explicit cumulative contract as
@@ -82,33 +86,429 @@ class ServerStats:
             return 0.0
         return self.bytes_served / self.gpu_seconds
 
-    def snapshot(self) -> "ServerStats":
-        """An independent copy of the current totals."""
-        return ServerStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
+
+class RoundServer:
+    """The serving round every in-process endpoint shares.
+
+    One round drains the priority request queue through a
+    :class:`~repro.streaming.scheduler.ServeRoundScheduler` plan (grants
+    beyond a peer's round quota carry over), emits each segment's grants
+    with *one* coalesced call, and fans the combined coefficient and
+    payload matrices back out as zero-copy :class:`BlockBatch` row
+    views, one per (peer, segment) grant.  ``format="frames"`` packs the
+    round onto the wire through :meth:`serve_round_into`.
+
+    The base owns the session table, the queue, the planning, the
+    fan-out, the packing and the ticket pair.  An endpoint supplies two
+    hooks:
+
+    * :meth:`_require_servable` — raise
+      :class:`~repro.errors.CapacityError` when it cannot serve a
+      segment;
+    * :meth:`_emit` — produce a segment's coded rows for a round's
+      grants in one call (:class:`StreamingServer` encodes,
+      :class:`~repro.multicast.relay.RelayNode` recodes).
+
+    It also sets ``stats`` (with ``blocks_served``, ``bytes_served``,
+    ``rounds_served`` and ``sessions_evicted``) and the registry
+    counters ``_m_bytes`` and ``_m_rounds``, which the shared round
+    accumulates into.  :meth:`_admit` and :meth:`_queue_changed` are
+    optional: they let the server bound its queue and publish its depth.
+
+    Args:
+        profile: media/coding configuration.
+        rng: randomness source for the round's coefficient draws.
+        per_peer_round_quota: most blocks one peer may receive per
+            round (``None`` = unbounded).
+        worker_id: cluster-assigned id stamped on the frames this
+            endpoint packs (see :func:`~repro.rlnc.wire.frame_worker_id`);
+            ``None`` leaves frames unstamped.
+    """
+
+    def __init__(
+        self,
+        profile: MediaProfile,
+        *,
+        rng: np.random.Generator | None,
+        per_peer_round_quota: int | None,
+        worker_id: int | None,
+    ) -> None:
+        self.profile = profile
+        self.worker_id = worker_id
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._sessions: dict[int, PeerSession] = {}
+        self._disconnected: set[int] = set()
+        self._queue: deque[BlockRequest] = deque()
+        self._round_scheduler = ServeRoundScheduler(
+            per_peer_quota=per_peer_round_quota
+        )
+        # Double-buffered wire storage: ``format="frames"`` rounds pack
+        # into alternating slots, so round r's frames stay valid while
+        # round r+1 emits and packs — the endpoint-side half of the
+        # pipelined (begin_round/collect_round) serving mode.
+        self._wire_buffers = [bytearray(), bytearray()]
+        self._wire_slot = 0
+
+    # -- endpoint hooks -----------------------------------------------------
+
+    def _require_servable(self, segment_id: int) -> None:
+        """Raise :class:`~repro.errors.CapacityError` unless this
+        endpoint can emit blocks of ``segment_id``."""
+        raise NotImplementedError
+
+    def _emit(
+        self, segment_id: int, counts: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One coalesced emission for a segment's grants.
+
+        Returns the ``(coefficients, payloads)`` matrices of
+        ``sum(counts)`` fresh coded rows; grant ``i`` gets the next
+        ``counts[i]`` rows.
+        """
+        raise NotImplementedError
+
+    def _admit(self, num_blocks: int) -> RetryLater | None:
+        """Admission control for one ask; ``None`` queues it."""
+        return None
+
+    def _queue_changed(self) -> None:
+        """Called after the queue grows or drains."""
+
+    # -- sessions and the request queue -------------------------------------
+
+    def connect(self, peer_id: int) -> PeerSession:
+        """Register a peer session (idempotent; reconnect after eviction)."""
+        if peer_id not in self._sessions:
+            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
+            self._disconnected.discard(peer_id)
+        return self._sessions[peer_id]
+
+    def disconnect(self, peer_id: int) -> None:
+        """Evict a peer session and drop its queued requests.
+
+        Later requests from the evicted peer raise
+        :class:`~repro.errors.CapacityError` (a clean transport-level
+        rejection the retry loop can surface) rather than the
+        :class:`~repro.errors.ConfigurationError` reserved for peers
+        that never connected.  :meth:`connect` re-admits the peer with a
+        fresh session.
+        """
+        if self._sessions.pop(peer_id, None) is None:
+            raise ConfigurationError(f"peer {peer_id} is not connected")
+        self._disconnected.add(peer_id)
+        if self._queue:
+            self._queue = deque(
+                request
+                for request in self._queue
+                if request.peer_id != peer_id
+            )
+        self.stats.sessions_evicted += 1
+
+    def session_counters(self) -> dict[int, tuple[int, int, int]]:
+        """Per-peer ``(requested, received, pending)`` block counters.
+
+        The compact session summary a multiprocess cluster worker diffs
+        into its replies, so the parent-side session mirrors (which the
+        client NACK accounting reads) stay exact without shipping
+        :class:`~repro.streaming.session.PeerSession` objects.
+        """
+        return {
+            peer_id: (
+                session.blocks_requested,
+                session.blocks_received,
+                session.blocks_pending,
+            )
+            for peer_id, session in self._sessions.items()
+        }
+
+    @property
+    def pending_requests(self) -> int:
+        """Queued block requests awaiting the next serving round."""
+        return len(self._queue)
+
+    @property
+    def pending_blocks(self) -> int:
+        """Total coded blocks the queue is waiting on."""
+        return sum(request.num_blocks for request in self._queue)
+
+    def _validate_request(
+        self, peer_id: int, segment_id: int, num_blocks: int
+    ) -> None:
+        if peer_id not in self._sessions:
+            if peer_id in self._disconnected:
+                raise CapacityError(
+                    f"peer {peer_id} session was evicted; reconnect first"
+                )
+            raise ConfigurationError(f"peer {peer_id} is not connected")
+        if num_blocks < 1:
+            raise ConfigurationError("must request at least one block")
+        self._require_servable(segment_id)
+
+    def request_blocks(
+        self, peer_id: int, segment_id: int, num_blocks: int
+    ) -> RetryLater | None:
+        """Enqueue a peer's ask for coded blocks (drained by rounds).
+
+        Requests carry a priority favouring nearly-complete sessions
+        (the fewer blocks asked, the higher the priority), so NACK
+        retransmissions of a handful of missing blocks are planned ahead
+        of whole-segment bulk fetches.
+
+        Returns:
+            ``None`` when queued, or a :class:`~repro.errors.RetryLater`
+            backoff hint when a bounded queue turned the ask away.
+
+        Raises:
+            CapacityError: if the endpoint cannot serve the segment, or
+                the peer's session was evicted.
+            ConfigurationError: for unknown peers or non-positive counts.
+        """
+        self._validate_request(peer_id, segment_id, num_blocks)
+        retry = self._admit(num_blocks)
+        if retry is not None:
+            return retry
+        priority = max(0, self.profile.params.num_blocks - num_blocks)
+        self._queue.append(
+            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
+        )
+        self._sessions[peer_id].record_request(num_blocks)
+        self._queue_changed()
+        return None
+
+    # -- the round -----------------------------------------------------------
+
+    def serve_round(
+        self,
+        *,
+        format: str = "batches",
+        checksum: bool = True,
+        version: int = VERSION2,
+    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
+        """Drain one scheduling round of the request queue.
+
+        All pending requests against the same segment coalesce into a
+        single emission (one coefficient draw, one bulk multiply); the
+        combined coefficient and payload matrices then fan back out as
+        zero-copy row views, one :class:`BlockBatch` per (peer, segment)
+        grant.  Requests beyond a peer's round quota stay queued for the
+        next round.  Exactly :meth:`collect_round` of :meth:`begin_round`.
+
+        Args:
+            format: ``"batches"`` (default) returns ``peer_id ->
+                [BlockBatch, ...]`` zero-copy row views; ``"frames"``
+                additionally packs the round into reused contiguous
+                wire storage (two alternating slots) and returns
+                ``peer_id -> memoryview`` slices of it (valid for two
+                frames rounds — one round may stay on the wire while
+                the next packs; consume or copy before the slot is
+                reused).
+            checksum: frames format only — whether frames carry
+                digest trailers.  Frames always carry per-session
+                monotonic sequence numbers (from
+                :attr:`~repro.streaming.session.PeerSession.tx_sequence`)
+                and, when the endpoint has a :attr:`worker_id`, the
+                worker stamp.
+            version: accepts only 2, the one frame version; kept for
+                callers that still spell it out.
+
+        Returns:
+            The per-peer grants in the requested representation (empty
+            dict when the queue is empty).
+
+        Raises:
+            ConfigurationError: on an unknown ``format``.
+            WireError: on any ``version`` but 2.
+            CapacityError: if a queued segment stopped being servable
+                behind the queue's back.
+        """
+        return self.collect_round(
+            self.begin_round(format=format, checksum=checksum, version=version)
         )
 
-    def delta(self, since: "ServerStats") -> "ServerStats":
-        """Counts accumulated after ``since`` (an earlier snapshot)."""
-        return ServerStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
+    def begin_round(
+        self,
+        *,
+        format: str = "batches",
+        checksum: bool = True,
+        version: int = VERSION2,
+    ) -> object:
+        """Pipelined serving entry: start a round, collect it later.
+
+        On an in-process endpoint the round runs synchronously (the
+        returned ticket already holds the result), but the two-phase
+        protocol — and the double-buffered wire storage backing
+        ``format="frames"`` — lets a pipelined driver issue round
+        ``r+1`` before round ``r``'s frames have been consumed.  The
+        multiprocess :class:`~repro.cluster.ServingCluster` implements
+        the same pair with genuine overlap (workers encode while the
+        driver transmits), so drivers treat every
+        :class:`~repro.serving.ServingEndpoint` alike.  Arguments are
+        those of :meth:`serve_round`.
+
+        Returns:
+            An opaque ticket for :meth:`collect_round`.
+        """
+        check_version(version)
+        if format == "batches":
+            return EagerRoundTicket(self._round_batches())
+        if format == "frames":
+            return EagerRoundTicket(self._round_frames(checksum=checksum))
+        raise ConfigurationError(
+            f"unknown serve_round format {format!r}; "
+            "expected 'batches' or 'frames'"
         )
 
-    def reset(self) -> "ServerStats":
-        """Zero the counters; returns a snapshot of the values cleared."""
-        cleared = self.snapshot()
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-        return cleared
+    def collect_round(self, ticket: object) -> dict:
+        """Barrier on a :meth:`begin_round` ticket; returns the round.
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        Raises:
+            ConfigurationError: the ticket is foreign or already
+                collected.
+        """
+        if not isinstance(ticket, EagerRoundTicket):
+            raise ConfigurationError(
+                "collect_round needs the ticket returned by begin_round"
+            )
+        return ticket.take()
+
+    def _round_batches(self) -> dict[int, list[BlockBatch]]:
+        """One scheduling round, delivered as zero-copy block batches."""
+        if not self._queue:
+            return {}
+        with trace("serve_round"):
+            with trace("scheduler_plan"):
+                plan = self._round_scheduler.plan_round(self._queue)
+            for segment_id in plan.grants:
+                self._require_servable(segment_id)
+            self._queue = deque(plan.carryover)
+            self._queue_changed()
+
+            block_size = self.profile.params.block_size
+            fanout: dict[int, list[BlockBatch]] = {}
+            for segment_id, grants in plan.grants.items():
+                counts = [count for _, count in grants]
+                coefficients, payloads = self._emit(segment_id, counts)
+                total = sum(counts)
+                self.stats.blocks_served += total
+                self.stats.bytes_served += total * block_size
+                self._m_bytes.inc(total * block_size)
+                row = 0
+                for peer_id, count in grants:
+                    batch = BlockBatch(
+                        coefficients=coefficients[row : row + count],
+                        payloads=payloads[row : row + count],
+                        segment_id=segment_id,
+                    )
+                    row += count
+                    fanout.setdefault(peer_id, []).append(batch)
+                    self._sessions[peer_id].record_blocks(count)
+            for peer_id in fanout:
+                self._sessions[peer_id].rounds_served += 1
+            self.stats.rounds_served += 1
+            self._m_rounds.inc()
+        return fanout
+
+    def serve_round_into(
+        self,
+        alloc: Callable[[int], tuple[object, int]],
+        *,
+        checksum: bool = True,
+        stamp_sequence: bool = True,
+    ) -> dict[int, list[tuple[int, int]]]:
+        """Serve one round packed into caller-allocated wire storage.
+
+        The one packing loop: ``serve_round(format="frames")`` allocates
+        out of the endpoint's double-buffered wire storage, while a
+        multiprocess cluster worker allocates out of its shared-memory
+        ring — either way the frames are written in place by
+        :func:`~repro.rlnc.wire.pack_blocks` with no intermediate
+        ``bytes()`` objects, so the zero-copy wire path survives the
+        process boundary.
+
+        Args:
+            alloc: called once per non-empty round with the round's
+                total wire size; must return ``(buffer, offset)`` — any
+                writable buffer and the position to start packing at.
+            checksum: whether frames carry digest trailers.
+            stamp_sequence: when True (the frames-path default),
+                frames consume each session's monotonic
+                :attr:`~repro.streaming.session.PeerSession.tx_sequence`.
+                False packs sequence-neutral frames (used when frames
+                are a transport encoding for ``format="batches"``
+                results, which must not disturb the wire sequences).
+
+        Returns:
+            ``peer_id -> [(offset, length), ...]`` spans into the
+            returned buffer, one per granted batch; a peer's spans are
+            contiguous and in grant order.  Empty dict when the queue
+            was empty.
+        """
+        with trace("serve_round"):
+            fanout = self._round_batches()
+            if not fanout:
+                return {}
+            total = sum(
+                stream_size(
+                    len(batch),
+                    batch.num_blocks,
+                    batch.block_size,
+                    checksum=checksum,
+                )
+                for batches in fanout.values()
+                for batch in batches
+            )
+            buffer, offset = alloc(total)
+            view = memoryview(buffer)
+            spans: dict[int, list[tuple[int, int]]] = {}
+            with trace("wire_pack"):
+                for peer_id, batches in fanout.items():
+                    session = self._sessions[peer_id]
+                    peer_spans = spans.setdefault(peer_id, [])
+                    for batch in batches:
+                        sequence = session.tx_sequence if stamp_sequence else 0
+                        packed = pack_blocks(
+                            batch,
+                            checksum=checksum,
+                            out=view,
+                            offset=offset,
+                            first_sequence=sequence,
+                            worker_id=self.worker_id,
+                        )
+                        if stamp_sequence:
+                            session.tx_sequence += len(batch)
+                        peer_spans.append((offset, len(packed)))
+                        offset += len(packed)
+        return spans
+
+    def _round_frames(self, *, checksum: bool) -> dict[int, memoryview]:
+        """Serve one round straight onto the wire, zero-copy.
+
+        :meth:`serve_round_into` targeting the endpoint's own contiguous
+        wire storage (two alternating slots, each reused and grown
+        across rounds); each peer's frames come back as one
+        ``memoryview`` slice of the round's slot.  Because the slots
+        alternate, one previous round's frames remain valid while this
+        round packs — the double buffering pipelined serving relies on.
+        """
+        slot = self._wire_slot
+        self._wire_slot = (slot + 1) % len(self._wire_buffers)
+
+        def alloc(total: int) -> tuple[bytearray, int]:
+            if len(self._wire_buffers[slot]) < total:
+                self._wire_buffers[slot] = bytearray(total)
+            return self._wire_buffers[slot], 0
+
+        spans = self.serve_round_into(alloc, checksum=checksum)
+        view = memoryview(self._wire_buffers[slot])
+        frames: dict[int, memoryview] = {}
+        for peer_id, peer_spans in spans.items():
+            start = peer_spans[0][0]
+            end = peer_spans[-1][0] + peer_spans[-1][1]
+            frames[peer_id] = view[start:end]
+        return frames
 
 
-class StreamingServer:
+class StreamingServer(RoundServer):
     """Serves network-coded media segments to downstream peers.
 
     Args:
@@ -146,27 +546,18 @@ class StreamingServer:
             raise ConfigurationError(
                 f"max_pending_blocks must be >= 1, got {max_pending_blocks}"
             )
+        super().__init__(
+            profile,
+            rng=rng,
+            per_peer_round_quota=per_peer_round_quota,
+            worker_id=worker_id,
+        )
         self.spec = spec
-        self.profile = profile
-        self.worker_id = worker_id
         self._eviction_listeners: list[Callable[[int], None]] = []
         self._encoder = GpuEncoder(spec, scheme)
-        self._rng = rng if rng is not None else np.random.default_rng()
         self._segments: dict[int, Segment] = {}
-        self._sessions: dict[int, PeerSession] = {}
         self._capacity = segments_in_device_memory(spec, profile)
         self._max_pending_blocks = max_pending_blocks
-        self._disconnected: set[int] = set()
-        self._queue: deque[BlockRequest] = deque()
-        self._round_scheduler = ServeRoundScheduler(
-            per_peer_quota=per_peer_round_quota
-        )
-        # Double-buffered wire storage: ``format="frames"`` rounds pack
-        # into alternating slots, so round r's frames stay valid while
-        # round r+1 encodes and packs — the server-side half of the
-        # pipelined (begin_round/collect_round) serving mode.
-        self._wire_buffers = [bytearray(), bytearray()]
-        self._wire_slot = 0
         self.stats = ServerStats()
         # Registry write-through handles, cached once per server so the
         # serve paths pay a plain method call, not a label resolution.
@@ -218,33 +609,6 @@ class StreamingServer:
             },
             "histograms": {},
         }
-
-    def session_counters(self) -> dict[int, tuple[int, int, int]]:
-        """Per-peer ``(requested, received, pending)`` block counters.
-
-        The compact session summary a multiprocess cluster worker diffs
-        into its replies, so the parent-side session mirrors (which the
-        client NACK accounting reads) stay exact without shipping
-        :class:`~repro.streaming.session.PeerSession` objects.
-        """
-        return {
-            peer_id: (
-                session.blocks_requested,
-                session.blocks_received,
-                session.blocks_pending,
-            )
-            for peer_id, session in self._sessions.items()
-        }
-
-    @property
-    def pending_requests(self) -> int:
-        """Queued block requests awaiting the next serving round."""
-        return len(self._queue)
-
-    @property
-    def pending_blocks(self) -> int:
-        """Total coded blocks the queue is waiting on."""
-        return sum(request.num_blocks for request in self._queue)
 
     def publish_segment(self, segment: Segment) -> None:
         """Upload one media segment to the device-resident store.
@@ -318,50 +682,6 @@ class StreamingServer:
             for listener in self._eviction_listeners:
                 listener(segment_id)
 
-    def connect(self, peer_id: int) -> PeerSession:
-        """Register a peer session (idempotent; reconnect after eviction)."""
-        if peer_id not in self._sessions:
-            self._sessions[peer_id] = PeerSession(peer_id, self.profile)
-            self._disconnected.discard(peer_id)
-        return self._sessions[peer_id]
-
-    def disconnect(self, peer_id: int) -> None:
-        """Evict a peer session and drop its queued requests.
-
-        Later requests from the evicted peer raise
-        :class:`~repro.errors.CapacityError` (a clean transport-level
-        rejection the retry loop can surface) rather than the
-        :class:`~repro.errors.ConfigurationError` reserved for peers
-        that never connected.  :meth:`connect` re-admits the peer with a
-        fresh session.
-        """
-        if self._sessions.pop(peer_id, None) is None:
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        self._disconnected.add(peer_id)
-        if self._queue:
-            self._queue = deque(
-                request
-                for request in self._queue
-                if request.peer_id != peer_id
-            )
-        self.stats.sessions_evicted += 1
-
-    def _validate_request(
-        self, peer_id: int, segment_id: int, num_blocks: int
-    ) -> Segment:
-        if peer_id not in self._sessions:
-            if peer_id in self._disconnected:
-                raise CapacityError(
-                    f"peer {peer_id} session was evicted; reconnect first"
-                )
-            raise ConfigurationError(f"peer {peer_id} is not connected")
-        if num_blocks < 1:
-            raise ConfigurationError("must request at least one block")
-        segment = self._segments.get(segment_id)
-        if segment is None:
-            raise CapacityError(f"segment {segment_id} is not on the device")
-        return segment
-
     def serve(
         self, peer_id: int, segment_id: int, num_blocks: int
     ) -> list[CodedBlock]:
@@ -374,8 +694,10 @@ class StreamingServer:
             CapacityError: if the segment is not resident on the device.
             ConfigurationError: for unknown peers or non-positive counts.
         """
-        segment = self._validate_request(peer_id, segment_id, num_blocks)
-        result = self._encoder.encode(segment, num_blocks, self._rng)
+        self._validate_request(peer_id, segment_id, num_blocks)
+        result = self._encoder.encode(
+            self._segments[segment_id], num_blocks, self._rng
+        )
         self.stats.encode_calls += 1
         self.stats.blocks_served += num_blocks
         self.stats.bytes_served += result.coded_bytes
@@ -393,317 +715,70 @@ class StreamingServer:
             for i in range(num_blocks)
         ]
 
-    # -- the batched round pipeline ----------------------------------------
+    # -- RoundServer hooks ---------------------------------------------------
 
-    def request_blocks(
-        self, peer_id: int, segment_id: int, num_blocks: int
-    ) -> RetryLater | None:
-        """Enqueue a peer's ask for coded blocks (drained by rounds).
+    def _require_servable(self, segment_id: int) -> None:
+        if segment_id not in self._segments:
+            raise CapacityError(f"segment {segment_id} is not on the device")
 
-        Requests carry a priority favouring nearly-complete sessions
-        (the fewer blocks asked, the higher the priority), so NACK
-        retransmissions of a handful of missing blocks are planned ahead
-        of whole-segment bulk fetches.
-
-        Load shedding: when ``max_pending_blocks`` is configured and the
-        queue cannot absorb the ask, the server first tries to shed the
-        single largest queued request if it is strictly larger than the
-        new ask (its pending count is refunded to its session — that
-        peer will simply re-request).  If shedding cannot make room, the
-        ask is rejected with a :class:`~repro.errors.RetryLater` hint
-        instead of being queued.
-
-        Returns:
-            ``None`` when queued, or a :class:`~repro.errors.RetryLater`
-            backoff hint when the ask was shed at admission.
-
-        Raises:
-            CapacityError: if the segment is not resident on the device,
-                or the peer's session was evicted.
-            ConfigurationError: for unknown peers or non-positive counts.
-        """
-        self._validate_request(peer_id, segment_id, num_blocks)
-        limit = self._max_pending_blocks
-        if limit is not None and self.pending_blocks + num_blocks > limit:
-            victim = max(
-                self._queue,
-                key=lambda request: request.num_blocks,
-                default=None,
+    def _emit(
+        self, segment_id: int, counts: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One coalesced encode: one coefficient draw, one bulk multiply,
+        one cost-model charge for every grant against the segment."""
+        with trace("encode_coalesced", segment=segment_id):
+            result, _ = self._encoder.encode_coalesced(
+                self._segments[segment_id], counts, self._rng
             )
-            freed = 0 if victim is None else victim.num_blocks
-            if (
-                victim is not None
-                and victim.num_blocks > num_blocks
-                and self.pending_blocks - freed + num_blocks <= limit
-            ):
-                self._queue.remove(victim)
-                shed_session = self._sessions.get(victim.peer_id)
-                if shed_session is not None:
-                    shed_session.blocks_pending = max(
-                        0, shed_session.blocks_pending - victim.num_blocks
-                    )
-                self.stats.requests_shed += 1
-                self._m_shed.inc()
-            else:
-                self.stats.retry_later_responses += 1
-                self._m_retry.inc()
-                overflow = self.pending_blocks + num_blocks - limit
-                return RetryLater(
-                    retry_after_rounds=max(1, -(-overflow // limit))
-                )
-        priority = max(0, self.profile.params.num_blocks - num_blocks)
-        self._queue.append(
-            BlockRequest(peer_id, segment_id, num_blocks, priority=priority)
+        total = sum(counts)
+        self.stats.encode_calls += 1
+        self.stats.gpu_seconds += result.time_seconds
+        self._m_encodes.inc()
+        self._m_blocks.inc(total)
+        self._m_coalesce.observe(total)
+        return result.coefficients, result.payloads
+
+    def _admit(self, num_blocks: int) -> RetryLater | None:
+        """Load shedding when ``max_pending_blocks`` is configured.
+
+        When the queue cannot absorb the ask, the server first tries to
+        shed the single largest queued request if it is strictly larger
+        than the new ask (its pending count is refunded to its session —
+        that peer will simply re-request).  If shedding cannot make
+        room, the ask is answered with a
+        :class:`~repro.errors.RetryLater` hint instead of being queued.
+        """
+        limit = self._max_pending_blocks
+        if limit is None or self.pending_blocks + num_blocks <= limit:
+            return None
+        victim = max(
+            self._queue,
+            key=lambda request: request.num_blocks,
+            default=None,
         )
-        self._sessions[peer_id].record_request(num_blocks)
+        freed = 0 if victim is None else victim.num_blocks
+        if (
+            victim is not None
+            and victim.num_blocks > num_blocks
+            and self.pending_blocks - freed + num_blocks <= limit
+        ):
+            self._queue.remove(victim)
+            shed_session = self._sessions.get(victim.peer_id)
+            if shed_session is not None:
+                shed_session.blocks_pending = max(
+                    0, shed_session.blocks_pending - victim.num_blocks
+                )
+            self.stats.requests_shed += 1
+            self._m_shed.inc()
+            return None
+        self.stats.retry_later_responses += 1
+        self._m_retry.inc()
+        overflow = self.pending_blocks + num_blocks - limit
+        return RetryLater(retry_after_rounds=max(1, -(-overflow // limit)))
+
+    def _queue_changed(self) -> None:
         self._m_queue_depth.set(len(self._queue))
         self._m_queue_blocks.set(self.pending_blocks)
-        return None
-
-    def serve_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION2,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview]:
-        """Drain one scheduling round of the request queue.
-
-        All pending requests against the same segment coalesce into a
-        single engine-level batch encode; the combined coefficient and
-        payload matrices then fan back out as zero-copy row views, one
-        :class:`BlockBatch` per (peer, segment) grant.  Requests beyond
-        a peer's round quota stay queued for the next round.
-
-        The unified serving entry point: ``format`` selects the
-        delivery representation.
-
-        Args:
-            format: ``"batches"`` (default) returns ``peer_id ->
-                [BlockBatch, ...]`` zero-copy row views; ``"frames"``
-                additionally packs the round into reused contiguous
-                wire storage (two alternating slots) and returns
-                ``peer_id -> memoryview`` slices of it (valid for two
-                frames rounds — one round may stay on the wire while
-                the next packs; consume or copy before the slot is
-                reused).
-            checksum: frames format only — whether frames carry
-                digest trailers.  Frames always carry per-session
-                monotonic sequence numbers (from
-                :attr:`~repro.streaming.session.PeerSession.tx_sequence`)
-                and, when the server has a :attr:`worker_id`, the
-                cluster worker stamp.
-            version: accepts only 2, the one frame version; kept for
-                callers that still spell it out.
-
-        Returns:
-            The per-peer grants in the requested representation (empty
-            dict when the queue is empty).
-
-        Raises:
-            ConfigurationError: on an unknown ``format``.
-            WireError: on any ``version`` but 2.
-            CapacityError: if a queued segment was evicted behind the
-                queue's back (cannot normally happen —
-                :meth:`evict_segment` drops its queued requests).
-        """
-        check_version(version)
-        if format == "batches":
-            return self._round_batches()
-        if format == "frames":
-            return self._round_frames(checksum=checksum)
-        raise ConfigurationError(
-            f"unknown serve_round format {format!r}; "
-            "expected 'batches' or 'frames'"
-        )
-
-    def _round_batches(self) -> dict[int, list[BlockBatch]]:
-        """One scheduling round, delivered as zero-copy block batches."""
-        if not self._queue:
-            return {}
-        with trace("serve_round"):
-            with trace("scheduler_plan"):
-                plan = self._round_scheduler.plan_round(self._queue)
-            segments: dict[int, Segment] = {}
-            for segment_id in plan.grants:
-                segment = self._segments.get(segment_id)
-                if segment is None:
-                    raise CapacityError(
-                        f"segment {segment_id} is not on the device"
-                    )
-                segments[segment_id] = segment
-            self._queue = deque(plan.carryover)
-            self._m_queue_depth.set(len(self._queue))
-            self._m_queue_blocks.set(self.pending_blocks)
-
-            fanout: dict[int, list[BlockBatch]] = {}
-            for segment_id, grants in plan.grants.items():
-                counts = [count for _, count in grants]
-                with trace("encode_coalesced", segment=segment_id):
-                    result, slices = self._encoder.encode_coalesced(
-                        segments[segment_id], counts, self._rng
-                    )
-                self.stats.encode_calls += 1
-                self.stats.blocks_served += sum(counts)
-                self.stats.bytes_served += result.coded_bytes
-                self.stats.gpu_seconds += result.time_seconds
-                self._m_encodes.inc()
-                self._m_blocks.inc(sum(counts))
-                self._m_bytes.inc(result.coded_bytes)
-                self._m_coalesce.observe(sum(counts))
-                for (peer_id, count), rows in zip(grants, slices):
-                    batch = BlockBatch(
-                        coefficients=result.coefficients[rows],
-                        payloads=result.payloads[rows],
-                        segment_id=segment_id,
-                    )
-                    fanout.setdefault(peer_id, []).append(batch)
-                    self._sessions[peer_id].record_blocks(count)
-            for peer_id in fanout:
-                self._sessions[peer_id].rounds_served += 1
-            self.stats.rounds_served += 1
-            self._m_rounds.inc()
-        return fanout
-
-    def serve_round_into(
-        self,
-        alloc: Callable[[int], tuple[object, int]],
-        *,
-        checksum: bool = True,
-        stamp_sequence: bool = True,
-    ) -> dict[int, list[tuple[int, int]]]:
-        """Serve one round packed into caller-allocated wire storage.
-
-        The single packing implementation under both wire spellings:
-        ``serve_round(format="frames")`` allocates out of the server's
-        reused buffer, while a multiprocess cluster worker allocates out
-        of its shared-memory ring — either way the frames are written in
-        place by :func:`~repro.rlnc.wire.pack_blocks` with no
-        intermediate ``bytes()`` objects, so the zero-copy wire path
-        survives the process boundary.
-
-        Args:
-            alloc: called once per non-empty round with the round's
-                total wire size; must return ``(buffer, offset)`` — any
-                writable buffer and the position to start packing at.
-            checksum: whether frames carry digest trailers.
-            stamp_sequence: when True (the frames-path default),
-                frames consume each session's monotonic
-                :attr:`~repro.streaming.session.PeerSession.tx_sequence`.
-                False packs sequence-neutral frames (used when frames
-                are a transport encoding for ``format="batches"``
-                results, which must not disturb the wire sequences).
-
-        Returns:
-            ``peer_id -> [(offset, length), ...]`` spans into the
-            returned buffer, one per granted batch; a peer's spans are
-            contiguous and in grant order.  Empty dict when the queue
-            was empty.
-        """
-        with trace("serve_round"):
-            fanout = self._round_batches()
-            if not fanout:
-                return {}
-            total = sum(
-                stream_size(
-                    len(batch),
-                    batch.num_blocks,
-                    batch.block_size,
-                    checksum=checksum,
-                )
-                for batches in fanout.values()
-                for batch in batches
-            )
-            buffer, offset = alloc(total)
-            view = memoryview(buffer)
-            spans: dict[int, list[tuple[int, int]]] = {}
-            with trace("wire_pack"):
-                for peer_id, batches in fanout.items():
-                    session = self._sessions[peer_id]
-                    peer_spans = spans.setdefault(peer_id, [])
-                    for batch in batches:
-                        sequence = session.tx_sequence if stamp_sequence else 0
-                        packed = pack_blocks(
-                            batch,
-                            checksum=checksum,
-                            out=view,
-                            offset=offset,
-                            first_sequence=sequence,
-                            worker_id=self.worker_id,
-                        )
-                        if stamp_sequence:
-                            session.tx_sequence += len(batch)
-                        peer_spans.append((offset, len(packed)))
-                        offset += len(packed)
-        return spans
-
-    def _round_frames(self, *, checksum: bool) -> dict[int, memoryview]:
-        """Serve one round straight onto the wire, zero-copy.
-
-        :meth:`serve_round_into` targeting the server's own contiguous
-        wire storage (two alternating slots, each reused and grown
-        across rounds); each peer's frames come back as one
-        ``memoryview`` slice of the round's slot — no per-block
-        ``bytes()`` objects anywhere on the path.  Because the slots
-        alternate, one previous round's frames remain valid while this
-        round packs — the double buffering pipelined serving relies on.
-        """
-        slot = self._wire_slot
-        self._wire_slot = (slot + 1) % len(self._wire_buffers)
-
-        def alloc(total: int) -> tuple[bytearray, int]:
-            if len(self._wire_buffers[slot]) < total:
-                self._wire_buffers[slot] = bytearray(total)
-            return self._wire_buffers[slot], 0
-
-        spans = self.serve_round_into(alloc, checksum=checksum)
-        view = memoryview(self._wire_buffers[slot])
-        frames: dict[int, memoryview] = {}
-        for peer_id, peer_spans in spans.items():
-            start = peer_spans[0][0]
-            end = peer_spans[-1][0] + peer_spans[-1][1]
-            frames[peer_id] = view[start:end]
-        return frames
-
-    def begin_round(
-        self,
-        *,
-        format: str = "batches",
-        checksum: bool = True,
-        version: int = VERSION2,
-    ) -> object:
-        """Pipelined serving entry: start a round, collect it later.
-
-        On a single in-process server the encode runs synchronously (the
-        returned ticket already holds the result), but the two-phase
-        protocol — and the double-buffered wire storage backing
-        ``format="frames"`` — lets a pipelined driver issue round
-        ``r+1`` before round ``r``'s frames have been consumed.  The
-        multiprocess :class:`~repro.cluster.ServingCluster` implements
-        the same pair with genuine overlap (workers encode while the
-        driver transmits), so drivers treat every
-        :class:`~repro.serving.ServingEndpoint` alike.  ``version``
-        accepts only 2, as in :meth:`serve_round`.
-
-        Returns:
-            An opaque ticket for :meth:`collect_round`.
-        """
-        return EagerRoundTicket(
-            self.serve_round(format=format, checksum=checksum, version=version)
-        )
-
-    def collect_round(self, ticket: object) -> dict:
-        """Barrier on a :meth:`begin_round` ticket; returns the round.
-
-        Raises:
-            ConfigurationError: the ticket is foreign or already
-                collected.
-        """
-        if not isinstance(ticket, EagerRoundTicket):
-            raise ConfigurationError(
-                "collect_round needs the ticket returned by begin_round"
-            )
-        return ticket.take()
 
 
 class EagerRoundTicket:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
+from repro.gpu import GTX280
 from repro.multicast import RelayNode, RelayStats
 from repro.rlnc import CodingParams, ProgressiveDecoder, Segment
 from repro.rlnc.block import BlockBatch
 from repro.rlnc.wire import frame_size, frame_worker_id, unpack_frame
+from repro.streaming import StreamingServer
 from repro.streaming.session import MediaProfile
 
 PARAMS = CodingParams(8, 64)
@@ -110,7 +112,7 @@ class TestServeRound:
         for peer in (1, 2, 3):
             relay.connect(peer)
             relay.request_blocks(peer, 0, 2)
-        fanout = relay._round_batches()
+        fanout = relay.serve_round()
         assert set(fanout) == {1, 2, 3}
         assert relay.stats.recode_calls == 1
         assert relay.stats.blocks_recoded == 6
@@ -216,6 +218,22 @@ class TestStats:
         assert counters["relay_blocks_recoded"] == 2.0
         assert counters["relay_bytes_served"] > 0
         assert snapshot["gauges"]["relay_segments_buffered"] == 1.0
+
+    @pytest.mark.parametrize("format", ["batches", "frames"])
+    def test_bytes_served_counts_payload_bytes(self, format):
+        # Blocks x block_size on either format, the server's meaning.
+        server = StreamingServer(GTX280, PROFILE, rng=np.random.default_rng(0))
+        server.publish(make_segment())
+        relay = make_relay()
+        relay.publish(make_segment())
+        for endpoint in (server, relay):
+            endpoint.connect(1)
+            endpoint.request_blocks(1, 0, 4)
+            endpoint.serve_round(format=format)
+        assert relay.stats.bytes_served == 4 * PARAMS.block_size
+        assert server.stats.bytes_served == relay.stats.bytes_served
+        counters = relay.stats_snapshot()["counters"]
+        assert counters["relay_bytes_served"] == 4 * PARAMS.block_size
 
     def test_relay_stats_contract(self):
         stats = RelayStats(blocks_ingested=4)

@@ -13,18 +13,21 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import ClusterStats
+from repro.cluster import ClusterStats, SupervisorStats
 from repro.multicast import RelayStats
 from repro.p2p import DistributionStats
 from repro.rlnc.wire import WireStats
 from repro.streaming import ServerStats, SessionStats
+from repro.workloads import LoadStats
 
 STATS_TYPES = [
     ClusterStats,
     DistributionStats,
+    LoadStats,
     RelayStats,
     ServerStats,
     SessionStats,
+    SupervisorStats,
     WireStats,
 ]
 
@@ -105,3 +108,25 @@ class TestNestedWireStats:
         cleared = stats.reset()
         assert cleared.wire.frames_ok == 6
         assert stats.wire.frames_ok == 0
+
+    def test_reset_keeps_the_wire_object(self):
+        # Receive paths hold a reference to ``stats.wire``; a reset that
+        # replaced it would leave them counting into a detached object.
+        stats = SessionStats()
+        wire = stats.wire
+        wire.malformed += 3
+        stats.reset()
+        assert stats.wire is wire
+        assert wire.malformed == 0
+
+    def test_snapshot_and_as_dict_recurse(self):
+        stats = SessionStats(nacks=2)
+        stats.wire.checksum_failures += 1
+        snap = stats.snapshot()
+        assert snap.wire is not stats.wire
+        assert snap.as_dict()["wire"] == {
+            "frames_ok": 0,
+            "checksum_failures": 1,
+            "malformed": 0,
+        }
+        assert snap.as_dict()["nacks"] == 2
