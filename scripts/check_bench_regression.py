@@ -50,7 +50,7 @@ THROUGHPUT_KEYS: dict[str, tuple[str, ...]] = {
         "wide_region_gb_per_s",
     ),
     "rotadd_head_to_head": ("encode_mb_per_s", "decode_mb_per_s"),
-    "encode_block_cached_log": ("mb_per_s",),
+    "encode_block": ("mb_per_s",),
     "observability_overhead": ("enabled_mb_per_s", "disabled_mb_per_s"),
     # Modelled (cost-model) figures — deterministic, so any drop is a
     # genuine placement or accounting change, not host noise.

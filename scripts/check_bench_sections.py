@@ -26,7 +26,7 @@ REQUIRED_SECTIONS = frozenset(
         "progressive_decode",
         "batch_encode",
         "matmul_backends",
-        "encode_block_cached_log",
+        "encode_block",
         "server_round_throughput",
         "wire_integrity_overhead",
         "observability_overhead",

@@ -7,12 +7,13 @@ request to the segment's owner and rebalances deterministically when a
 worker dies.  The cluster speaks the same
 :class:`~repro.serving.ServingEndpoint` surface as a single server.
 
-Two execution substrates sit behind that surface: the default
-in-process cluster (deterministic reference) and ``parallel=True``,
-which hosts each worker in its own OS process with
-:class:`~repro.cluster.shm.BlockRing` shared-memory block buffers and
-an async round-dispatch loop — byte-identical output, real-core wall
-speedup.
+Every worker is a :class:`~repro.cluster.worker.WorkerProcess` handle
+and every round runs one dispatch-then-barrier loop; the ``parallel``
+flag picks only the transport under the handles.  The default is an
+in-process loopback (:class:`~repro.cluster.worker.LoopbackWorker`,
+ring in private memory); ``parallel=True`` hosts each worker in its own
+OS process with :class:`~repro.cluster.shm.BlockRing` shared-memory
+block buffers — byte-identical output, real-core wall speedup.
 
 Parallel clusters can additionally self-heal: construct with
 ``supervision=SupervisorConfig(...)`` and a

@@ -9,27 +9,20 @@ to the segment's owner.  The cluster implements the same
 :class:`~repro.streaming.client.ClientSession` and
 :func:`~repro.streaming.client.drive_sessions` drive either unchanged.
 
-Execution model — two interchangeable substrates behind one facade:
-
-* ``parallel=False`` (default): every worker is an in-process
-  :class:`~repro.streaming.server.StreamingServer`.  Rounds run
-  worker-after-worker in one interpreter; deterministic, dependency
-  free, and the byte-exactness reference the parallel mode is compared
-  against.  Real *threads* would add nothing here — the arithmetic
-  below the cost model is NumPy fancy-indexing that serializes on the
-  GIL — which is exactly why scale-out needs processes.
-* ``parallel=True``: every worker is a
-  :class:`~repro.cluster.worker.WorkerProcess` — a separate OS process
-  hosting the identical ``StreamingServer`` object graph (same
-  ``default_rng([seed, w])`` stream, same ``worker_id`` stamp), with
-  block payloads crossing the boundary through
-  :class:`~repro.cluster.shm.BlockRing` shared memory and only control
-  messages on the command pipes.  :meth:`ServingCluster.serve_round`
-  becomes an async dispatch loop: it fires every live worker's round,
-  then barriers and merges in ascending worker order — so the output
-  is byte-identical to the serial substrate while the encodes run on
-  real cores.  Parallel clusters own OS resources: :meth:`close` them
-  (or use the cluster as a context manager).
+Execution model — one worker handle over two transports.  Every worker
+is a :class:`~repro.cluster.worker.WorkerProcess` handle on a runtime
+hosting a ``StreamingServer`` (same ``default_rng([seed, w])`` stream,
+same ``worker_id`` stamp), and :meth:`ServingCluster.serve_round` fires
+every live worker's round, then barriers and merges in ascending worker
+order.  ``parallel`` picks only the transport: ``False`` (default) is an
+in-process loopback — no OS process, no shared memory, so :meth:`close`
+is optional; ``True`` runs each runtime as its own OS process, block
+payloads crossing through :class:`~repro.cluster.shm.BlockRing` shared
+memory and only control messages on the command pipes, so the encodes
+run on real cores (threads would not: the arithmetic serializes on the
+GIL).  Both carry the same pickled commands and replies, so the output
+is byte-identical.  Parallel clusters own OS resources: :meth:`close`
+them (or use the cluster as a context manager).
 
 Timeline model: the workers are *separate simulated devices*, so a
 cluster round's modelled cost is the **critical path** — the maximum of
@@ -71,12 +64,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import SupervisorConfig, WorkerSupervisor
-from repro.cluster.worker import WorkerProcess
+from repro.cluster.worker import LoopbackWorker, WorkerProcess, _SessionMirror
 from repro.errors import (
     CapacityError,
     ConfigurationError,
@@ -90,8 +81,7 @@ from repro.obs.registry import get_registry, merge_snapshots
 from repro.obs.stats import CumulativeStats
 from repro.rlnc.block import BlockBatch, Segment
 from repro.rlnc.wire import MAX_WORKER_ID, VERSION2, check_version, unpack_blocks
-from repro.streaming.server import EagerRoundTicket, StreamingServer
-from repro.streaming.session import MediaProfile, PeerSession
+from repro.streaming.session import MediaProfile
 
 
 @dataclass
@@ -147,9 +137,9 @@ class ClusterPeerView:
 
     def __init__(self, peer_id: int) -> None:
         self.peer_id = peer_id
-        self._sessions: dict[int, PeerSession] = {}
+        self._sessions: dict[int, _SessionMirror] = {}
 
-    def _attach(self, worker_id: int, session: PeerSession) -> None:
+    def _attach(self, worker_id: int, session: _SessionMirror) -> None:
         self._sessions[worker_id] = session
 
     def _detach(self, worker_id: int) -> None:
@@ -197,10 +187,11 @@ class ServingCluster:
         max_cluster_pending_blocks: cluster-wide admission bound across
             all worker queues; asks beyond it get
             :class:`~repro.errors.RetryLater` before touching a worker.
-        parallel: True runs every worker as its own OS process with
-            shared-memory block buffers (see the module docstring);
-            False (default) keeps the in-process substrate.  Both
-            produce byte-identical output for the same seed.
+        parallel: picks the transport under every worker handle: True
+            runs each worker as its own OS process with shared-memory
+            block buffers, False (default) an in-process loopback (see
+            the module docstring).  Both produce byte-identical output
+            for the same seed.
         start_method: parallel only — multiprocessing start method
             override (default: ``REPRO_MP_START_METHOD`` env var, else
             fork where available).
@@ -268,7 +259,7 @@ class ServingCluster:
         self._per_peer_round_quota = per_peer_round_quota
         self._max_pending_blocks = max_pending_blocks
         self._start_method = start_method
-        self._workers: dict[int, StreamingServer | WorkerProcess] = {}
+        self._workers: dict[int, WorkerProcess] = {}
         try:
             for worker_id in range(num_workers):
                 self._workers[worker_id] = self._spawn_worker(
@@ -277,8 +268,7 @@ class ServingCluster:
                 )
         except Exception:
             for worker in self._workers.values():
-                if isinstance(worker, WorkerProcess):
-                    worker.shutdown()
+                worker.shutdown()
             raise
         self._router = ClusterRouter(
             HashRing(seed=seed, vnodes=vnodes_per_worker),
@@ -308,9 +298,7 @@ class ServingCluster:
             else None
         )
 
-    def _spawn_worker(
-        self, worker_id: int, chaos=None
-    ) -> StreamingServer | WorkerProcess:
+    def _spawn_worker(self, worker_id: int, chaos=None) -> WorkerProcess:
         """Build one worker (initial spawn and supervisor restarts).
 
         Restarts call this with ``chaos=None`` — a healed victim comes
@@ -320,28 +308,18 @@ class ServingCluster:
         many times it has been respawned, and the rateless code makes
         the decoded output identical either way.
         """
-        if self.parallel:
-            worker: StreamingServer | WorkerProcess = WorkerProcess(
-                worker_id,
-                self.spec,
-                self.profile,
-                scheme=self._scheme,
-                seed=self.seed,
-                per_peer_round_quota=self._per_peer_round_quota,
-                max_pending_blocks=self._max_pending_blocks,
-                start_method=self._start_method,
-                chaos=chaos,
-            )
-        else:
-            worker = StreamingServer(
-                self.spec,
-                self.profile,
-                scheme=self._scheme,
-                rng=np.random.default_rng([self.seed, worker_id]),
-                per_peer_round_quota=self._per_peer_round_quota,
-                max_pending_blocks=self._max_pending_blocks,
-                worker_id=worker_id,
-            )
+        handle = WorkerProcess if self.parallel else LoopbackWorker
+        worker = handle(
+            worker_id,
+            self.spec,
+            self.profile,
+            scheme=self._scheme,
+            seed=self.seed,
+            per_peer_round_quota=self._per_peer_round_quota,
+            max_pending_blocks=self._max_pending_blocks,
+            start_method=self._start_method,
+            chaos=chaos,
+        )
         worker.add_eviction_listener(
             lambda segment_id, wid=worker_id: self._on_worker_eviction(
                 wid, segment_id
@@ -366,13 +344,11 @@ class ServingCluster:
     def num_workers(self) -> int:
         return len(self._router.live_workers)
 
-    def worker(self, worker_id: int) -> StreamingServer | WorkerProcess:
-        """A live worker by id (for inspection; raises if dead/unknown).
+    def worker(self, worker_id: int) -> WorkerProcess:
+        """A live worker's handle by id (raises if dead/unknown).
 
-        In-process clusters return the worker's
-        :class:`~repro.streaming.server.StreamingServer`; parallel
-        clusters return its
-        :class:`~repro.cluster.worker.WorkerProcess` handle.
+        The same :class:`~repro.cluster.worker.WorkerProcess` surface on
+        either transport; only a process worker has a ``pid``.
         """
         if worker_id not in self._router.ring:
             raise ConfigurationError(f"worker {worker_id} is not live")
@@ -553,9 +529,9 @@ class ServingCluster:
 
         Workers run their rounds independently (separate simulated
         devices — and in parallel mode, separate OS processes whose
-        rounds are dispatched concurrently and barriered); results
-        merge per peer in ascending worker order, so a given cluster
-        state always yields the same delivery on either substrate.  The
+        rounds run concurrently until the barrier); results merge per
+        peer in ascending worker order, so a given cluster state always
+        yields the same delivery on either transport.  The
         round's modelled cost on the parallel timeline is the largest
         per-worker GPU delta (critical path); the serial price is the
         sum — both accumulate in :attr:`stats`.
@@ -591,17 +567,19 @@ class ServingCluster:
     ) -> object:
         """Pipelined serving entry: dispatch a round, barrier on it later.
 
-        On the parallel substrate this is the real thing — every live
-        worker's round command is fired and the method returns *without
-        waiting for any reply*, so the per-worker encodes overlap with
-        whatever the caller does next (publishing the previous round's
-        frames, feeding decoders); :meth:`collect_round` is the barrier.
-        On the serial substrate the round runs eagerly and the ticket
-        just parks the result, preserving one driver loop for both
-        modes.  Arguments are those of :meth:`serve_round`.
+        Every live worker's round command is fired and the method
+        returns *without waiting for any reply*, so process workers
+        encode while the caller does other work (publishing the
+        previous round's frames, feeding decoders); :meth:`collect_round`
+        is the barrier.  ``format="batches"`` rounds travel as
+        sequence-neutral, checksum-free frames, leaving the wire
+        sequences untouched.  Under supervision the supervisor ticks
+        first (restarting workers whose backoff elapsed, probing silent
+        ones) and down workers are skipped.  Arguments are those of
+        :meth:`serve_round`.
 
-        At most one round may be in flight per worker (the
-        shared-memory ring is bump-allocated per round), so a second
+        At most one round may be in flight per worker (the ring is
+        bump-allocated per round), so a second
         ``begin_round`` before ``collect_round`` raises
         :class:`~repro.errors.ConfigurationError` worker-side.
 
@@ -614,109 +592,6 @@ class ServingCluster:
                 f"unknown serve_round format {format!r}; "
                 "expected 'batches' or 'frames'"
             )
-        if not self.parallel:
-            return EagerRoundTicket(
-                self._merge_round(format, *self._round_serial(format, checksum))
-            )
-        return self._dispatch_parallel(format, checksum)
-
-    def collect_round(
-        self, ticket: object
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
-        """Barrier on a :meth:`begin_round` ticket and merge the round.
-
-        Frames payloads are views into worker shared memory, valid
-        until that worker's *next* round — a pipelined driver copies
-        them out here, before beginning the following round.
-
-        Raises:
-            ConfigurationError: the ticket is foreign or already
-                collected.
-        """
-        if isinstance(ticket, EagerRoundTicket):
-            return ticket.take()
-        if not isinstance(ticket, _ParallelRoundTicket):
-            raise ConfigurationError(
-                "collect_round needs the ticket returned by begin_round"
-            )
-        merged, parallel, serial, blocks, served = self._collect_parallel(
-            ticket
-        )
-        return self._merge_round(
-            ticket.format, merged, parallel, serial, blocks, served
-        )
-
-    def _merge_round(
-        self,
-        format: str,
-        merged: dict[int, list],
-        parallel: float,
-        serial: float,
-        blocks: int,
-        served: bool,
-    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
-        """Accumulate a finished round's stats and flatten the merge."""
-        if served:
-            self.stats.rounds_served += 1
-            self.stats.blocks_served += blocks
-            self.stats.gpu_parallel_seconds += parallel
-            self.stats.gpu_serial_seconds += serial
-            self._m_rounds.inc()
-            self._m_blocks.inc(blocks)
-        if format == "batches":
-            return {
-                peer_id: [batch for batches in parts for batch in batches]
-                for peer_id, parts in merged.items()
-            }
-        return {
-            peer_id: (
-                parts[0]
-                if len(parts) == 1
-                else b"".join(bytes(part) for part in parts)
-            )
-            for peer_id, parts in merged.items()
-        }
-
-    def _round_serial(
-        self, format: str, checksum: bool
-    ) -> tuple[dict[int, list], float, float, int, bool]:
-        """One round on the in-process substrate, worker after worker."""
-        merged: dict[int, list] = {}
-        parallel = 0.0
-        serial = 0.0
-        blocks = 0
-        served = False
-        for worker_id in self.live_workers:
-            worker = self._workers[worker_id]
-            before = worker.stats.snapshot()
-            result = worker.serve_round(format=format, checksum=checksum)
-            delta = worker.stats.delta(before)
-            parallel = max(parallel, delta.gpu_seconds)
-            serial += delta.gpu_seconds
-            blocks += delta.blocks_served
-            served = served or bool(result)
-            for peer_id, payload in result.items():
-                merged.setdefault(peer_id, []).append(payload)
-        return merged, parallel, serial, blocks, served
-
-    def _dispatch_parallel(
-        self, format: str, checksum: bool
-    ) -> "_ParallelRoundTicket":
-        """Fire one round's commands at every live worker, no waiting.
-
-        Every live worker's round command is dispatched before any
-        reply is awaited, so the per-worker encodes run concurrently on
-        real cores.  Frames land in each worker's shared-memory ring —
-        the reply carries only ``(offset, length)`` spans — and
-        ``format="batches"`` results travel as sequence-neutral,
-        checksum-free frames re-hydrated parent-side, so batches
-        rounds leave the wire sequences exactly where a serial cluster
-        would.
-
-        Under supervision the round is additionally self-healing: the
-        supervisor ticks first (restarting workers whose backoff
-        elapsed, probing silent ones) and down workers are skipped.
-        """
         supervisor = self.supervisor
         down: frozenset[int] = frozenset()
         if supervisor is not None:
@@ -725,17 +600,14 @@ class ServingCluster:
         round_timeout = (
             supervisor.config.round_timeout if supervisor else None
         )
-        procs: list[tuple[int, WorkerProcess]] = [
-            (wid, self._workers[wid])
-            for wid in self.live_workers
-            if wid not in down
-        ]
-        frames = format == "frames"
         dispatched: list[tuple[int, WorkerProcess, float]] = []
         failed = 0
-        for wid, proc in procs:
+        for wid in self.live_workers:
+            if wid in down:
+                continue
+            proc = self._workers[wid]
             try:
-                if frames:
+                if format == "frames":
                     proc.start_round(checksum=checksum)
                 else:
                     proc.start_round(checksum=False, stamp_sequence=False)
@@ -746,36 +618,41 @@ class ServingCluster:
                 failed += 1
                 continue
             dispatched.append((wid, proc, time.monotonic()))
-        return _ParallelRoundTicket(
+        return _RoundTicket(
             format=format,
-            frames=frames,
             dispatched=dispatched,
             down=down,
             failed=failed,
             round_timeout=round_timeout,
         )
 
-    def _collect_parallel(
-        self, ticket: "_ParallelRoundTicket"
-    ) -> tuple[dict[int, list], float, float, int, bool]:
-        """Barrier on a dispatched round and merge the replies.
+    def collect_round(
+        self, ticket: object
+    ) -> dict[int, list[BlockBatch]] | dict[int, memoryview | bytes]:
+        """Barrier on a :meth:`begin_round` ticket and merge the round.
 
-        Replies are collected in ascending worker order, which makes
-        the merge deterministic and byte-identical to the serial
-        substrate.  Under supervision every ``finish_round`` carries
-        the configured round deadline, and a worker that crashes or
-        hangs mid-round is detected and torn down while the merge
-        completes **degraded** on the survivors — the barrier never
-        blocks on a dead pipe.
+        Replies are collected in ascending worker order, so the merge
+        is deterministic.  Frames payloads are views into the worker's
+        ring, valid until that worker's *next* round — a pipelined
+        driver copies them out here, before beginning the following
+        round.  Under supervision a worker that crashes or misses the
+        round deadline is torn down while the merge completes
+        **degraded** on the survivors.
+
+        Raises:
+            ConfigurationError: the ticket is foreign or already
+                collected.
         """
+        if not isinstance(ticket, _RoundTicket):
+            raise ConfigurationError(
+                "collect_round needs the ticket returned by begin_round"
+            )
         if ticket.taken:
             raise ConfigurationError("round ticket was already collected")
         ticket.taken = True
         supervisor = self.supervisor
-        frames = ticket.frames
-        down = ticket.down
+        frames = ticket.format == "frames"
         failed = ticket.failed
-        round_timeout = ticket.round_timeout
         merged: dict[int, list] = {}
         parallel = 0.0
         serial = 0.0
@@ -786,7 +663,9 @@ class ServingCluster:
                 if supervisor is None:
                     spans, delta = proc.finish_round()
                 else:
-                    spans, delta = proc.finish_round(timeout=round_timeout)
+                    spans, delta = proc.finish_round(
+                        timeout=ticket.round_timeout
+                    )
             except WorkerCrashError as exc:
                 if supervisor is None:
                     raise
@@ -820,25 +699,44 @@ class ServingCluster:
                     wid,
                     time.monotonic() - sent_at if wall is None else wall,
                 )
-        if supervisor is not None and served and (failed or down):
+        if supervisor is not None and served and (failed or ticket.down):
             supervisor.note_degraded_round()
-        return merged, parallel, serial, blocks, served
+        if served:
+            self.stats.rounds_served += 1
+            self.stats.blocks_served += blocks
+            self.stats.gpu_parallel_seconds += parallel
+            self.stats.gpu_serial_seconds += serial
+            self._m_rounds.inc()
+            self._m_blocks.inc(blocks)
+        if not frames:
+            return {
+                peer_id: [batch for batches in parts for batch in batches]
+                for peer_id, parts in merged.items()
+            }
+        return {
+            peer_id: (
+                parts[0]
+                if len(parts) == 1
+                else b"".join(bytes(part) for part in parts)
+            )
+            for peer_id, parts in merged.items()
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop worker processes and release their shared memory.
+        """Stop the workers and release their rings.
 
         Parallel mode owns OS resources (processes, pipes, shm rings);
         call this when done, or drive the cluster as a context manager.
-        In-process clusters are a no-op.  Idempotent.
+        An in-process cluster holds none, so closing it is optional.
+        Idempotent.
         """
         if self._closed:
             return
         self._closed = True
         for worker in self._workers.values():
-            if isinstance(worker, WorkerProcess):
-                worker.shutdown()
+            worker.shutdown()
 
     def __enter__(self) -> "ServingCluster":
         return self
@@ -864,15 +762,15 @@ class ServingCluster:
         """Cluster rollup plus per-worker labeled series.
 
         Every live worker's ``stats_snapshot`` contributes its series
-        re-keyed with a ``worker="N"`` label — in parallel mode the
-        snapshot dict crosses the process boundary as a control
-        message, which is exactly the pickle-then-merge round trip the
-        obs suite property-tests.  :func:`repro.obs.merge_snapshots`
+        re-keyed with a ``worker="N"`` label — the snapshot dict
+        crosses the transport as a pickled control message, which is
+        exactly the pickle-then-merge round trip the obs suite
+        property-tests.  :func:`repro.obs.merge_snapshots`
         folds them with the cluster's own counters (rounds, blocks,
         rebalances, admission rejections) and gauges (live workers,
-        placed segments, modelled timelines); parallel clusters add
-        their control-plane byte counters so dashboards can watch the
-        control/data split stay lopsided.
+        placed segments, modelled timelines) and the control-plane byte
+        counters, so dashboards can watch the control/data split stay
+        lopsided.
         """
         per_worker = []
         for wid in self.live_workers:
@@ -913,14 +811,13 @@ class ServingCluster:
             "histograms": {},
         }
         own["gauges"]["cluster_parallel"] = float(self.parallel)
-        if self.parallel:
-            sent = received = 0
-            for worker in self._workers.values():
-                if isinstance(worker, WorkerProcess):
-                    sent += worker.control_bytes_sent
-                    received += worker.control_bytes_received
-            own["counters"]["cluster_control_bytes_sent"] = float(sent)
-            own["counters"]["cluster_control_bytes_received"] = float(received)
+        workers = self._workers.values()
+        own["counters"]["cluster_control_bytes_sent"] = float(
+            sum(worker.control_bytes_sent for worker in workers)
+        )
+        own["counters"]["cluster_control_bytes_received"] = float(
+            sum(worker.control_bytes_received for worker in workers)
+        )
         if self.supervisor is not None:
             return merge_snapshots(
                 *per_worker, own, self.supervisor.snapshot_series()
@@ -1005,8 +902,7 @@ class ServingCluster:
             for peer_id, view in self._peers.items():
                 view._attach(worker_id, worker.connect(peer_id))
         except Exception:
-            if isinstance(worker, WorkerProcess):
-                worker.shutdown()
+            worker.shutdown()
             raise
         self._workers[worker_id] = worker
         if self.supervisor is not None:
@@ -1045,9 +941,7 @@ class ServingCluster:
                 last one while segments are still placed.
         """
         moved = self._router.rebalance(worker_id)
-        victim = self._workers[worker_id]
-        if isinstance(victim, WorkerProcess):
-            victim.shutdown()
+        self._workers[worker_id].shutdown()
         if self.supervisor is not None:
             self.supervisor.forget(worker_id)
         self._finish_eviction(worker_id, moved, removal="removed")
@@ -1060,8 +954,9 @@ class ServingCluster:
 
         In parallel mode this SIGKILLs the actual worker process (and
         reaps its pipe and shared-memory ring) — the fault harness
-        exercises a real process death, not a simulated one.  Either
-        way the dead worker leaves the ring, its segments re-place onto
+        exercises a real process death, not a simulated one; a loopback
+        worker's runtime is dropped.  Either way the dead worker leaves
+        the ring, its segments re-place onto
         the survivors the ring already assigns them (minimal
         disruption), and its origin copies re-publish there.  Every
         connected peer's view drops the dead worker's session, so
@@ -1077,9 +972,7 @@ class ServingCluster:
                 last one while segments are still placed.
         """
         moved = self._router.rebalance(worker_id)
-        victim = self._workers[worker_id]
-        if isinstance(victim, WorkerProcess):
-            victim.kill()
+        self._workers[worker_id].kill()
         if self.supervisor is not None:
             # A deliberate kill is an eviction, not an outage: the
             # supervisor must not restart this worker.
@@ -1142,33 +1035,20 @@ class ServingCluster:
         self._m_placed.set(self._router.advertised_segments)
 
 
-class _ParallelRoundTicket:
-    """An in-flight parallel round: dispatched commands awaiting barrier.
+@dataclass(slots=True)
+class _RoundTicket:
+    """An in-flight round: dispatched commands awaiting the barrier.
 
-    Created by :meth:`ServingCluster.begin_round` on the process
-    substrate; :meth:`ServingCluster.collect_round` consumes it exactly
-    once.  Holds the dispatch-time supervision snapshot (down workers,
+    Created by :meth:`ServingCluster.begin_round`;
+    :meth:`ServingCluster.collect_round` consumes it exactly once.
+    Holds the dispatch-time supervision snapshot (down workers,
     dispatch failures, round deadline) so the collect half charges
     degradation to the round that actually suffered it.
     """
 
-    __slots__ = ("format", "frames", "dispatched", "down", "failed",
-                 "round_timeout", "taken")
-
-    def __init__(
-        self,
-        *,
-        format: str,
-        frames: bool,
-        dispatched: list[tuple[int, WorkerProcess, float]],
-        down: frozenset[int],
-        failed: int,
-        round_timeout: float | None,
-    ) -> None:
-        self.format = format
-        self.frames = frames
-        self.dispatched = dispatched
-        self.down = down
-        self.failed = failed
-        self.round_timeout = round_timeout
-        self.taken = False
+    format: str
+    dispatched: list[tuple[int, WorkerProcess, float]]
+    down: frozenset[int]
+    failed: int
+    round_timeout: float | None
+    taken: bool = False

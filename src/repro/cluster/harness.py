@@ -108,10 +108,11 @@ def run_cluster_workload(
     path: rebalanced placement, vanished pending counts, NACK
     re-requests, zero lost decoder rank.
 
-    ``parallel=True`` runs the identical workload on the multiprocess
-    substrate (same seeds, byte-identical frames); the kill plan then
-    fells a real OS process.  The cluster is always closed before the
-    report is built, so no workload leaks processes or shared memory.
+    ``parallel=True`` runs the identical workload with every worker on
+    the process transport instead of the in-process loopback (same
+    seeds, byte-identical frames); the kill plan then fells a real OS
+    process.  The cluster is always closed before the report is built,
+    so no workload leaks processes or shared memory.
 
     A ``chaos_plan`` (parallel + ``supervision`` required) goes further
     than a kill plan: victims crash, hang or slow down *uninvited* —

@@ -35,10 +35,14 @@ owned); workers *attach* by name.  Parent and workers share one
 name exactly once — no spurious leak warnings, no double unregister.
 Ring names share the :data:`RING_NAME_PREFIX` so test harnesses can
 sweep ``/dev/shm`` for leaks.
+
+In-process workers use :meth:`BlockRing.private` instead: the same
+layout over process-private memory, with nothing in ``/dev/shm``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import secrets
 from multiprocessing import shared_memory
@@ -64,6 +68,21 @@ def _sweep_pinned() -> None:
         except BufferError:
             still_pinned.append(shm)
     _pinned[:] = still_pinned
+
+
+class _PrivateMemory:
+    """The ``SharedMemory`` surface a ring uses, over an anonymous private
+    mapping (zero pages on first touch, as a shared segment has) that
+    lives as long as the ring or any frame view exported from it."""
+
+    def __init__(self, size: int) -> None:
+        self.name = f"private-{secrets.token_hex(4)}"
+        self.buf = memoryview(mmap.mmap(-1, size))
+
+    def close(self) -> None:
+        pass
+
+    unlink = close
 
 
 class BlockRing:
@@ -103,6 +122,12 @@ class BlockRing:
         shm = shared_memory.SharedMemory(
             name=name, create=True, size=inbox_bytes + capacity
         )
+        return cls(shm, capacity=capacity, inbox_bytes=inbox_bytes, owner=True)
+
+    @classmethod
+    def private(cls, *, capacity: int, inbox_bytes: int = 0) -> "BlockRing":
+        """A ring in process-private memory (in-process workers)."""
+        shm = _PrivateMemory(inbox_bytes + capacity)
         return cls(shm, capacity=capacity, inbox_bytes=inbox_bytes, owner=True)
 
     @classmethod

@@ -54,7 +54,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.cluster.worker import WorkerProcess
 from repro.errors import (
     ConfigurationError,
     WorkerCrashError,
@@ -225,7 +224,7 @@ class WorkerSupervisor:
         self._m_down = registry.gauge("supervisor_workers_down")
         self._m_detect = registry.histogram("supervisor_detection_seconds")
         for worker_id in cluster.live_workers:
-            self._arm(cluster._workers[worker_id])
+            cluster._workers[worker_id].command_timeout = config.command_timeout
 
     # -- topology ----------------------------------------------------------
 
@@ -252,11 +251,6 @@ class WorkerSupervisor:
     def restarts_used(self, worker_id: int) -> int:
         state = self._states.get(worker_id)
         return 0 if state is None else state.restarts_used
-
-    def _arm(self, proc) -> None:
-        """Put this supervisor's command deadline on a worker handle."""
-        if isinstance(proc, WorkerProcess):
-            proc.command_timeout = self.config.command_timeout
 
     # -- detection ---------------------------------------------------------
 
@@ -407,7 +401,7 @@ class WorkerSupervisor:
         fresh = None
         try:
             fresh = cluster._spawn_worker(worker_id)
-            self._arm(fresh)
+            fresh.command_timeout = self.config.command_timeout
             for segment_id in cluster._router.segments_on(worker_id):
                 fresh.publish(cluster._origin[segment_id])
                 self.stats.republished_segments += 1
@@ -463,7 +457,7 @@ class WorkerSupervisor:
         command deadline is armed on its handle.
         """
         self._states[worker_id] = _WorkerState()
-        self._arm(proc)
+        proc.command_timeout = self.config.command_timeout
         self._m_down.set(len(self.down_workers))
 
     def forget(self, worker_id: int) -> None:

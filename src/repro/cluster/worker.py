@@ -1,6 +1,9 @@
-"""Process workers: one real :class:`StreamingServer` per OS process.
+"""Cluster workers: one :class:`StreamingServer` behind a handle.
 
-The control/data split the parallel cluster is built on:
+A :class:`WorkerProcess` runs the worker in its own OS process; a
+:class:`LoopbackWorker` runs the same runtime in the caller's process
+over the same pickled commands and replies.  The control/data split of
+the process transport:
 
 * **Control plane** — a duplex command pipe per worker.  Commands and
   replies are small pickled tuples (requests, round dispatches, stats
@@ -13,10 +16,10 @@ The control/data split the parallel cluster is built on:
   :meth:`~repro.streaming.server.RoundServer.serve_round_into`.
   Replies carry only ``(offset, length)`` spans into the ring.
 
-Each worker process hosts exactly the object graph the in-process
-cluster would give worker ``w`` — a :class:`StreamingServer` seeded with
-``default_rng([seed, w])`` and stamped ``worker_id=w`` — so a parallel
-round is byte-identical to its serial counterpart.
+Each worker hosts exactly the object graph a cluster gives worker ``w``
+— a :class:`StreamingServer` seeded with ``default_rng([seed, w])`` and
+stamped ``worker_id=w`` — so a round is byte-identical on either
+transport.
 
 Round dispatch is split into :meth:`WorkerProcess.start_round` (fire the
 command) and :meth:`WorkerProcess.finish_round` (collect the reply) so
@@ -118,7 +121,7 @@ class WorkerLifecycleStats(CumulativeStats):
 
     Attributes:
         graceful_exits: shutdown handshakes the worker acknowledged.
-        sigkills: SIGKILLs delivered to the process.
+        sigkills: hard kills delivered (SIGKILLs, for a process).
         join_escalations: graceful shutdowns whose join deadline
             expired with the process still alive, forcing a SIGKILL.
         join_timeouts: post-SIGKILL joins that timed out and had to be
@@ -150,11 +153,17 @@ class _SessionMirror:
 
 
 class _WorkerRuntime:
-    """The child-process side: a StreamingServer driven by the pipe."""
+    """The worker side: a StreamingServer driven by pickled commands.
 
-    def __init__(self, bootstrap: WorkerBootstrap, conn) -> None:
-        self.conn = conn
-        self.ring = BlockRing.attach(
+    ``attach(name, capacity=, inbox_bytes=)`` maps the parent's ring: by
+    ``/dev/shm`` name in a process, as the parent's own object over the
+    loopback.
+    """
+
+    def __init__(self, bootstrap: WorkerBootstrap, attach) -> None:
+        self._attach = attach
+        self.stopped = False
+        self.ring = attach(
             bootstrap.ring_name,
             capacity=bootstrap.ring_capacity,
             inbox_bytes=bootstrap.ring_inbox_bytes,
@@ -262,62 +271,116 @@ class _WorkerRuntime:
             return ("pong", os.getpid(), dict(self.command_counts))
         if tag == "ring":
             name, capacity, inbox_bytes = args
-            fresh = BlockRing.attach(
-                name, capacity=capacity, inbox_bytes=inbox_bytes
-            )
+            fresh = self._attach(name, capacity=capacity, inbox_bytes=inbox_bytes)
             self.ring.close()
             self.ring = fresh
             return None
         raise ConfigurationError(f"unknown worker command {tag!r}")
 
-    def run(self) -> None:
-        conn = self.conn
-        while True:
+    def step(self, raw: bytes) -> bytes:
+        """Handle one pickled command; return the pickled reply."""
+        tag, args = pickle.loads(raw)
+        self.command_counts[tag] = self.command_counts.get(tag, 0) + 1
+        started = time.monotonic()
+        self._inject_chaos(tag)
+        if tag == "shutdown":
+            self.stopped = True
+            return pickle.dumps(("ok", None, 0, {}), _PROTOCOL)
+        try:
+            payload = self.handle(tag, args)
+            if tag == "round":
+                # The worker's own wall clock for this round, chaos
+                # included.  The parent's barrier collects replies in
+                # worker order, so parent-side timing would charge a
+                # worker for time spent waiting on a slow sibling —
+                # only the child can measure its own slowness.
+                payload[1]["round_wall_seconds"] = time.monotonic() - started
+        except Exception as exc:
+            try:
+                return pickle.dumps(("err", exc), _PROTOCOL)
+            except Exception:
+                return pickle.dumps(
+                    ("err", WorkerCrashError(repr(exc))), _PROTOCOL
+                )
+        reply = (
+            "ok",
+            payload,
+            self.server.pending_blocks,
+            self.session_updates(),
+        )
+        return pickle.dumps(reply, _PROTOCOL)
+
+    def run(self, conn) -> None:
+        while not self.stopped:
             try:
                 raw = conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            tag, args = pickle.loads(raw)
-            self.command_counts[tag] = self.command_counts.get(tag, 0) + 1
-            started = time.monotonic()
-            self._inject_chaos(tag)
-            if tag == "shutdown":
-                conn.send_bytes(pickle.dumps(("ok", None, 0, {}), _PROTOCOL))
-                break
-            try:
-                payload = self.handle(tag, args)
-                if tag == "round":
-                    # The worker's own wall clock for this round, chaos
-                    # included.  The parent's barrier collects replies in
-                    # worker order, so parent-side timing would charge a
-                    # worker for time spent waiting on a slow sibling —
-                    # only the child can measure its own slowness.
-                    payload[1]["round_wall_seconds"] = (
-                        time.monotonic() - started
-                    )
-            except Exception as exc:
-                try:
-                    reply = pickle.dumps(("err", exc), _PROTOCOL)
-                except Exception:
-                    reply = pickle.dumps(
-                        ("err", WorkerCrashError(repr(exc))), _PROTOCOL
-                    )
-                conn.send_bytes(reply)
-                continue
-            reply = (
-                "ok",
-                payload,
-                self.server.pending_blocks,
-                self.session_updates(),
-            )
-            conn.send_bytes(pickle.dumps(reply, _PROTOCOL))
+            conn.send_bytes(self.step(raw))
         self.ring.close()
         conn.close()
 
 
 def _worker_main(bootstrap: WorkerBootstrap, conn) -> None:
     """Child-process entry point (top level so spawn can import it)."""
-    _WorkerRuntime(bootstrap, conn).run()
+    _WorkerRuntime(bootstrap, BlockRing.attach).run(conn)
+
+
+class _Loopback:
+    """Process- and pipe-shaped stand-in that runs the runtime in-process.
+
+    ``send_bytes`` steps the command at once and ``recv_bytes`` returns
+    the reply; rings are private and attached by the very object the
+    handle created.
+    """
+
+    pid = None
+
+    def __init__(self) -> None:
+        self.rings: dict[str, BlockRing] = {}
+        self._runtime: _WorkerRuntime | None = None
+        self._reply: bytes | None = None
+
+    def new_ring(self, *, capacity: int, inbox_bytes: int) -> BlockRing:
+        ring = BlockRing.private(capacity=capacity, inbox_bytes=inbox_bytes)
+        self.rings[ring.name] = ring
+        return ring
+
+    def start(self, bootstrap: WorkerBootstrap) -> None:
+        if bootstrap.chaos is not None:
+            # A scheduled crash would exit the caller's own process.
+            raise ConfigurationError("chaos needs a process worker")
+        self._runtime = _WorkerRuntime(
+            bootstrap, lambda name, **_: self.rings.pop(name)
+        )
+
+    def is_alive(self) -> bool:
+        return self._runtime is not None
+
+    def kill(self) -> None:
+        self._runtime = None
+
+    def join(self, timeout: float | None = None) -> None:
+        pass
+
+    def send_bytes(self, raw: bytes) -> None:
+        if self._runtime is None:
+            raise BrokenPipeError("loopback worker has stopped")
+        self._reply = self._runtime.step(raw)
+        if self._runtime.stopped:
+            self._runtime = None
+
+    def poll(self, timeout: float | None = None) -> bool:
+        return self._reply is not None
+
+    def recv_bytes(self) -> bytes:
+        reply, self._reply = self._reply, None
+        if reply is None:
+            raise EOFError("loopback worker has stopped")
+        return reply
+
+    def close(self) -> None:
+        pass
 
 
 def _reap(process, conn, state: dict) -> None:
@@ -342,7 +405,8 @@ def _reap(process, conn, state: dict) -> None:
 class WorkerProcess:
     """Parent-side handle on one worker process.
 
-    Owns the process, the command pipe and the shared-memory ring; the
+    Owns the process, the command pipe and the shared-memory ring
+    (:class:`LoopbackWorker` swaps in the in-process transport); the
     cluster talks to it with the same verbs it would call on an
     in-process :class:`StreamingServer` (publish/connect/request/round),
     plus the split :meth:`start_round`/:meth:`finish_round` pair the
@@ -390,11 +454,9 @@ class WorkerProcess:
                     checksum=True,
                 ),
             )
-        ring = BlockRing.create(
+        ring = self._new_ring(
             capacity=ring_capacity, inbox_bytes=params.segment_bytes
         )
-        ctx = get_context(default_start_method(start_method))
-        parent_conn, child_conn = ctx.Pipe()
         bootstrap = WorkerBootstrap(
             worker_id=worker_id,
             spec=spec,
@@ -408,14 +470,7 @@ class WorkerProcess:
             ring_inbox_bytes=ring.inbox_bytes,
             chaos=chaos,
         )
-        process = ctx.Process(
-            target=_worker_main,
-            args=(bootstrap, child_conn),
-            name=f"repro-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        process, parent_conn = self._start(bootstrap, start_method)
         self._process = process
         self._conn = parent_conn
         self._ring = ring
@@ -446,6 +501,23 @@ class WorkerProcess:
         self._finalizer = weakref.finalize(
             self, _reap, process, parent_conn, self._state
         )
+
+    def _new_ring(self, *, capacity: int, inbox_bytes: int) -> BlockRing:
+        return BlockRing.create(capacity=capacity, inbox_bytes=inbox_bytes)
+
+    def _start(self, bootstrap: WorkerBootstrap, start_method: str | None):
+        """Start the runtime; returns its ``(process, connection)``."""
+        ctx = get_context(default_start_method(start_method))
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_main,
+            args=(bootstrap, child_conn),
+            name=f"repro-worker-{bootstrap.worker_id}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
 
     # -- plumbing ----------------------------------------------------------
 
@@ -669,7 +741,7 @@ class WorkerProcess:
         """
         if needed <= self._ring.capacity:
             return
-        fresh = BlockRing.create(
+        fresh = self._new_ring(
             capacity=max(needed, 2 * self._ring.capacity),
             inbox_bytes=self._ring.inbox_bytes,
         )
@@ -754,3 +826,23 @@ class WorkerProcess:
         else:
             self.lifecycle.join_escalations += 1
         self.kill()
+
+
+class LoopbackWorker(WorkerProcess):
+    """The same handle over an in-process transport.
+
+    Each command runs in this process's runtime the moment it is sent,
+    and the ring lives in private memory: no OS process, no ``/dev/shm``
+    segment, so closing it is optional.  ``start_method`` is ignored.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._loopback = _Loopback()
+        super().__init__(*args, **kwargs)
+
+    def _new_ring(self, *, capacity: int, inbox_bytes: int) -> BlockRing:
+        return self._loopback.new_ring(capacity=capacity, inbox_bytes=inbox_bytes)
+
+    def _start(self, bootstrap: WorkerBootstrap, start_method: str | None):
+        self._loopback.start(bootstrap)
+        return self._loopback, self._loopback

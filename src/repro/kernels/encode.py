@@ -154,15 +154,15 @@ class GpuEncoder:
         rng: np.random.Generator,
         *,
         coefficients: np.ndarray | None = None,
-    ) -> tuple[EncodeResult, list[slice]]:
+    ) -> EncodeResult:
         """Serve several peers' block requests with one kernel launch.
 
         This is the serving pipeline's coalescing primitive: the block
         counts of every request pending against one segment are summed
         into a single :meth:`encode` call — one coefficient draw, one
-        engine-level batch multiply, one cost-model charge — and the
-        returned row slices fan the combined coefficient/payload
-        matrices back out per request without copying.
+        engine-level batch multiply, one cost-model charge.  Request
+        ``i`` owns the ``counts[i]`` result rows after those of the
+        requests before it; the caller fans them out as row views.
 
         Args:
             segment: source segment.
@@ -172,8 +172,7 @@ class GpuEncoder:
                 (tests/cross-checks); must have ``sum(counts)`` rows.
 
         Returns:
-            The combined :class:`EncodeResult` and one ``slice`` per
-            request, in order, indexing its rows of the result matrices.
+            The combined :class:`EncodeResult`, ``sum(counts)`` rows.
 
         Raises:
             ConfigurationError: on an empty request list or non-positive
@@ -190,13 +189,7 @@ class GpuEncoder:
                 f"coefficient matrix has {coefficients.shape[0]} rows for "
                 f"{total} requested blocks"
             )
-        result = self.encode(segment, total, rng, coefficients=coefficients)
-        slices: list[slice] = []
-        offset = 0
-        for count in counts:
-            slices.append(slice(offset, offset + count))
-            offset += count
-        return result, slices
+        return self.encode(segment, total, rng, coefficients=coefficients)
 
     def estimate(
         self, *, num_blocks: int, block_size: int, coded_rows: int

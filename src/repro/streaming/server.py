@@ -727,7 +727,7 @@ class StreamingServer(RoundServer):
         """One coalesced encode: one coefficient draw, one bulk multiply,
         one cost-model charge for every grant against the segment."""
         with trace("encode_coalesced", segment=segment_id):
-            result, _ = self._encoder.encode_coalesced(
+            result = self._encoder.encode_coalesced(
                 self._segments[segment_id], counts, self._rng
             )
         total = sum(counts)
@@ -784,11 +784,11 @@ class StreamingServer(RoundServer):
 class EagerRoundTicket:
     """A begin_round result computed eagerly, awaiting collection.
 
-    Serial endpoints (:class:`StreamingServer`, relays, serial-substrate
-    clusters) run a round synchronously inside ``begin_round`` and park
-    the result here; ``collect_round`` hands it over exactly once.  The
-    class is shared so every eager endpoint raises identical errors on
-    double collection.
+    Serial endpoints (:class:`StreamingServer` and relays) run a round
+    synchronously inside ``begin_round`` and park the result here;
+    ``collect_round`` hands it over exactly once.  The class is shared
+    so every eager endpoint raises identical errors on double
+    collection.
     """
 
     __slots__ = ("_result", "_taken")

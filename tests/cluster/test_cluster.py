@@ -1,11 +1,14 @@
 """Tests for the sharded serving cluster: routing, failover, rollups."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cluster import ServingCluster, run_cluster_workload
+from repro.cluster.worker import LoopbackWorker
 from repro.errors import CapacityError, ConfigurationError, RetryLater
-from repro.faults import WorkerKillPlan
+from repro.faults import WorkerChaosSpec, WorkerKillPlan
 from repro.gpu import GTX280
 from repro.rlnc import CodingParams, Segment, frame_worker_id
 from repro.streaming import MediaProfile
@@ -39,18 +42,23 @@ def publish_many(cluster, count):
 
 
 class TestPlacementRouting:
-    def test_requests_land_on_the_owning_worker(self):
-        cluster = make_cluster()
-        publish_many(cluster, 8)
-        cluster.connect(1)
-        placement = cluster.placement()
-        for segment_id, owner in placement.items():
-            cluster.request_blocks(1, segment_id, 2)
-            assert cluster.worker(owner).pending_requests > 0
-        queued = sum(
-            cluster.worker(w).pending_blocks for w in cluster.live_workers
-        )
-        assert queued == 2 * len(placement) == cluster.pending_blocks
+    @BOTH_SUBSTRATES
+    def test_requests_land_on_the_owning_worker(self, parallel):
+        with make_cluster(
+            num_workers=capped_workers(4) if parallel else 4,
+            parallel=parallel,
+        ) as cluster:
+            publish_many(cluster, 8)
+            cluster.connect(1)
+            placement = cluster.placement()
+            for segment_id, owner in placement.items():
+                before = cluster.worker(owner).pending_blocks
+                cluster.request_blocks(1, segment_id, 2)
+                assert cluster.worker(owner).pending_blocks == before + 2
+            queued = sum(
+                cluster.worker(w).pending_blocks for w in cluster.live_workers
+            )
+            assert queued == 2 * len(placement) == cluster.pending_blocks
 
     def test_placement_is_deterministic_given_seed(self):
         a = make_cluster(seed=5)
@@ -124,17 +132,23 @@ class TestAdmission:
         assert isinstance(response, RetryLater)
         assert cluster.stats.retry_later_responses == 1
 
-    def test_worker_level_retry_later_propagates(self):
-        cluster = make_cluster(max_pending_blocks=4)
-        publish_many(cluster, 1)
-        cluster.connect(1)
-        cluster.connect(2)
-        owner = cluster.placement()[0]
-        assert cluster.request_blocks(1, 0, 4) is None
-        response = cluster.request_blocks(2, 0, 4)
-        assert isinstance(response, RetryLater)
-        assert cluster.worker(owner).stats.retry_later_responses == 1
-        assert cluster.stats.retry_later_responses == 1
+    @BOTH_SUBSTRATES
+    def test_worker_level_retry_later_propagates(self, parallel):
+        with make_cluster(
+            num_workers=capped_workers(4) if parallel else 4,
+            max_pending_blocks=4,
+            parallel=parallel,
+        ) as cluster:
+            publish_many(cluster, 1)
+            cluster.connect(1)
+            cluster.connect(2)
+            owner = cluster.placement()[0]
+            assert cluster.request_blocks(1, 0, 4) is None
+            response = cluster.request_blocks(2, 0, 4)
+            assert isinstance(response, RetryLater)
+            stats = cluster.worker(owner).server_stats()
+            assert stats["retry_later_responses"] == 1
+            assert cluster.stats.retry_later_responses == 1
 
 
 class TestEvictionWithdrawsPlacement:
@@ -160,17 +174,36 @@ class TestEvictionWithdrawsPlacement:
         with pytest.raises(CapacityError):
             cluster.request_blocks(1, 3, 1)
 
-    def test_stale_eviction_after_rebalance_keeps_new_owner(self):
-        cluster = make_cluster()
-        publish_many(cluster, 8)
-        placement = cluster.placement()
-        victim = placement[0]
-        moved = cluster.kill_worker(victim)
-        assert moved  # segment 0 moved somewhere
-        # The dead worker still holds its local copy; its eviction must
-        # not un-place the new owner's copy.
-        cluster._workers[victim].evict_segment(0)
-        assert cluster.placement()[0] == moved[0]
+    @BOTH_SUBSTRATES
+    def test_stale_eviction_after_rebalance_keeps_new_owner(self, parallel):
+        # add_worker evicts every migrated segment from its previous
+        # owner; that owner's eviction event is stale and must not
+        # un-place the newcomer's copy.
+        with make_cluster(
+            num_workers=capped_workers(2), parallel=parallel
+        ) as cluster:
+            publish_many(cluster, 16)
+            before = cluster.placement()
+            stored = {
+                w: cluster.worker(w).server_stats()["segments_stored"]
+                for w in cluster.live_workers
+            }
+            moved = cluster.add_worker()
+            assert moved
+            for segment_id, new_owner in moved.items():
+                assert cluster.placement()[segment_id] == new_owner
+            # The previous owners really evicted (so the stale events
+            # fired), yet nothing was withdrawn and every moved segment
+            # still serves from its new owner.
+            for w, count in stored.items():
+                lost = sum(1 for s in moved if before[s] == w)
+                stats = cluster.worker(w).server_stats()
+                assert stats["segments_stored"] == count - lost
+            assert cluster.stats.segments_withdrawn == 0
+            assert cluster.stored_segments == 16
+            cluster.connect(1)
+            for segment_id in moved:
+                assert cluster.request_blocks(1, segment_id, 1) is None
 
 
 class TestFailover:
@@ -240,20 +273,25 @@ class TestStatsRollup:
         )
         assert served == snap["counters"]["cluster_blocks_served"] == 8.0
 
-    def test_parallel_timeline_is_the_critical_path(self):
-        cluster = make_cluster()
-        publish_many(cluster, 8)
-        cluster.connect(1)
-        for segment_id in range(8):
-            cluster.request_blocks(1, segment_id, 4)
-        cluster.serve_round()
-        stats = cluster.stats
-        per_worker = [
-            cluster.worker(w).stats.gpu_seconds for w in cluster.live_workers
-        ]
-        assert stats.gpu_serial_seconds == pytest.approx(sum(per_worker))
-        assert stats.gpu_parallel_seconds == pytest.approx(max(per_worker))
-        assert stats.model_speedup > 1.0
+    @BOTH_SUBSTRATES
+    def test_parallel_timeline_is_the_critical_path(self, parallel):
+        with make_cluster(
+            num_workers=capped_workers(4) if parallel else 4,
+            parallel=parallel,
+        ) as cluster:
+            publish_many(cluster, 8)
+            cluster.connect(1)
+            for segment_id in range(8):
+                cluster.request_blocks(1, segment_id, 4)
+            cluster.serve_round()
+            stats = cluster.stats
+            per_worker = [
+                cluster.worker(w).server_stats()["gpu_seconds"]
+                for w in cluster.live_workers
+            ]
+            assert stats.gpu_serial_seconds == pytest.approx(sum(per_worker))
+            assert stats.gpu_parallel_seconds == pytest.approx(max(per_worker))
+            assert stats.model_speedup > 1.0
 
 
 class TestSeededWorkloads:
@@ -330,6 +368,18 @@ class TestConstruction:
     def test_bad_cluster_admission_bound(self):
         with pytest.raises(ConfigurationError):
             make_cluster(max_cluster_pending_blocks=0)
+
+    def test_in_process_workers_hold_no_os_resources(self):
+        cluster = make_cluster()
+        for worker_id in cluster.live_workers:
+            handle = cluster.worker(worker_id)
+            assert handle.pid is None
+            assert not os.path.exists(f"/dev/shm/{handle.ring.name}")
+        # A scheduled crash on an in-process worker would exit the caller.
+        with pytest.raises(ConfigurationError):
+            LoopbackWorker(
+                0, GTX280, SMALL_PROFILE, chaos=WorkerChaosSpec("crash")
+            )
 
     def test_failed_publish_rolls_back_placement(self):
         cluster = make_cluster()
